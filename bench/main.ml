@@ -441,23 +441,10 @@ let print_benchmarks rows =
    writes; the Bechamel rows above are per-operation micro costs. *)
 let wall_measurements = Ccdsm_harness.Bench_compare.wall_measurements
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path ~scale ~jobs ~wall ~micro =
   let oc = open_out path in
   let field last (name, v) =
-    Printf.fprintf oc "    \"%s\": %.3f%s\n" (json_escape name) v (if last then "" else ",")
+    Printf.fprintf oc "    %s: %.3f%s\n" (Ccdsm_util.Json.quote name) v (if last then "" else ",")
   in
   let obj entries =
     let n = List.length entries in

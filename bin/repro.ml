@@ -22,6 +22,7 @@ module Rmodel = Ccdsm_rdist.Model
 module PC = Ccdsm_harness.Predict_check
 module L = Ccdsm_harness.Latency
 module Timeline = Ccdsm_obs.Timeline
+module Json = Ccdsm_util.Json
 
 let scale full = if full then E.Paper else E.scale_of_env ()
 
@@ -580,23 +581,29 @@ let run_metrics file format =
 let run_bench full jobs compare threshold strict quick =
   let s = scale full in
   let jobs = match jobs with Some j -> j | None -> Ccdsm_harness.Parjobs.default_jobs () in
+  (* The baseline is read before the timing pass, so a bad path fails fast. *)
+  let baseline =
+    Option.map
+      (fun path ->
+        match Ccdsm_harness.Bench_compare.load_baseline path with
+        | Ok baseline -> baseline
+        | Error msg ->
+            Printf.eprintf "repro bench: %s\n" msg;
+            exit 1)
+      compare
+  in
   let wall = Ccdsm_harness.Bench_compare.wall_measurements ~quick s jobs in
-  match compare with
+  match baseline with
   | None ->
       List.iter (fun (name, ms) -> Printf.printf "  wall %-14s %8.1f ms\n" name ms) wall
-  | Some path -> (
-      match Ccdsm_harness.Bench_compare.load_baseline path with
-      | Error msg ->
-          Printf.eprintf "repro bench: %s\n" msg;
-          exit 1
-      | Ok baseline ->
-          let comparison =
-            Ccdsm_harness.Bench_compare.compare_runs ~threshold_pct:threshold ~baseline wall
-          in
-          print_string (Ccdsm_harness.Bench_compare.render ~threshold_pct:threshold comparison);
-          if Ccdsm_harness.Bench_compare.any_regression comparison then
-            if strict then exit 1
-            else print_endline "advisory: regressions found (not failing without --strict)")
+  | Some baseline ->
+      let comparison =
+        Ccdsm_harness.Bench_compare.compare_runs ~threshold_pct:threshold ~baseline wall
+      in
+      print_string (Ccdsm_harness.Bench_compare.render ~threshold_pct:threshold comparison);
+      if Ccdsm_harness.Bench_compare.any_regression comparison then
+        if strict then exit 1
+        else print_endline "advisory: regressions found (not failing without --strict)"
 
 let run_check depth seed faults nodes blocks jobs replay mode protocols =
   match replay with
@@ -692,11 +699,6 @@ let run_serve socket tcp http_port jobs max_pending timeout_ms log slow_ms =
       apps = None;
     }
 
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
-  at 0
-
 let run_submit socket tcp file =
   let addr = parse_listen_addr socket tcp in
   let specs =
@@ -746,7 +748,8 @@ let run_submit socket tcp file =
        print_endline line;
        (* A daemon-side non-ok status fails the client, so scripts can gate
           on the exit code without parsing JSON. *)
-       if not (contains_substring line "\"status\":\"ok\"") then failed := true
+       let status = Result.bind (Json.parse line) Json.(field "status" string) in
+       if status <> Ok "ok" then failed := true
      done
    with End_of_file ->
      Printf.eprintf "repro submit: connection closed before all responses arrived\n";

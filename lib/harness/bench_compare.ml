@@ -1,4 +1,5 @@
 module E = Experiments
+module Json = Ccdsm_util.Json
 
 (* Wall-clock per experiment driver, run through the multicore fan-out at the
    given job count.  These are the end-to-end numbers the perf-regression
@@ -43,60 +44,16 @@ let wall_measurements ?(quick = false) scale jobs =
           (fun () -> E.protocol_sweep ~jobs ~quick ~protocols:[ p ] scale))
       (Proto_diff.all_protocols ())
 
-(* -- baseline parsing (the fixed BENCH.json format bench/main.ml writes) -- *)
-
-let find_sub s pat from =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = pat then Some (i + m) else go (i + 1)
-  in
-  go from
+(* -- baseline ---------------------------------------------------------------- *)
 
 let load_baseline path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | s -> (
-      match find_sub s "\"wall_ms\"" 0 with
-      | None -> Error (path ^ ": no \"wall_ms\" object (is this a bench --json baseline?)")
-      | Some j -> (
-          match String.index_from_opt s j '{' with
-          | None -> Error (path ^ ": malformed \"wall_ms\" object")
-          | Some start ->
-              (* Scan ["name": number] pairs until the closing brace. *)
-              let stop =
-                match String.index_from_opt s start '}' with
-                | Some k -> k
-                | None -> String.length s
-              in
-              let rec pairs i acc =
-                match find_sub s "\"" i with
-                | Some j when j <= stop -> (
-                    match String.index_from_opt s j '"' with
-                    | Some k when k < stop -> (
-                        let name = String.sub s j (k - j) in
-                        match String.index_from_opt s k ':' with
-                        | Some c when c < stop ->
-                            let e = ref (c + 1) in
-                            while
-                              !e < stop
-                              && (match s.[!e] with
-                                 | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-                                 | _ -> false)
-                            do
-                              incr e
-                            done;
-                            let v = float_of_string_opt (String.trim (String.sub s (c + 1) (!e - c - 1))) in
-                            let acc =
-                              match v with Some v -> (name, v) :: acc | None -> acc
-                            in
-                            pairs !e acc
-                        | _ -> List.rev acc)
-                    | _ -> List.rev acc)
-                | _ -> List.rev acc
-              in
-              let entries = pairs start [] in
-              if entries = [] then Error (path ^ ": \"wall_ms\" object holds no entries")
-              else Ok entries))
+      match Result.bind (Json.parse s) Json.(field "wall_ms" (assoc float)) with
+      | Error e -> Error (Printf.sprintf "%s: %s (is this a bench --json baseline?)" path e)
+      | Ok [] -> Error (path ^ ": \"wall_ms\" object holds no entries")
+      | Ok entries -> Ok entries)
 
 (* -- comparison ----------------------------------------------------------- *)
 

@@ -11,8 +11,9 @@ val wall_measurements : ?quick:bool -> Experiments.scale -> int -> (string * flo
     numbers are only comparable to another quick run. *)
 
 val load_baseline : string -> ((string * float) list, string) result
-(** Read the ["wall_ms"] object out of a [bench --json] baseline file.
-    Understands only that fixed format. *)
+(** Read the ["wall_ms"] object (driver name to milliseconds) out of a
+    [bench --json] baseline file.  [Error] when the file cannot be read, is
+    not JSON, or has no non-empty all-numeric ["wall_ms"] object. *)
 
 type verdict = {
   name : string;

@@ -1,38 +1,7 @@
 module Ascii = Ccdsm_util.Ascii
 module Obs = Ccdsm_obs.Obs
 module Network = Ccdsm_tempest.Network
-
-(* -- naive field extraction over our own fixed JSONL format -------------- *)
-
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let int_field line key =
-  match find_sub line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      if !k < n && line.[!k] = '-' then incr k;
-      while !k < n && line.[!k] >= '0' && line.[!k] <= '9' do
-        incr k
-      done;
-      if !k = j || (!k = j + 1 && line.[j] = '-') then None
-      else int_of_string_opt (String.sub line j (!k - j))
-
-let string_field line key =
-  match find_sub line ("\"" ^ key ^ "\":\"") with
-  | None -> None
-  | Some j -> (
-      match String.index_from_opt line j '"' with
-      | None -> None
-      | Some k -> Some (String.sub line j (k - j)))
+module Json = Ccdsm_util.Json
 
 (* -- accumulation --------------------------------------------------------- *)
 
@@ -80,46 +49,48 @@ let bump tbl key =
   | Some r -> incr r
   | None -> Hashtbl.add tbl key (ref 1)
 
+(* Lines are read leniently: any JSON object with a string "type" counts,
+   and absent fields default, so a hand-made or partial trace still
+   summarizes. *)
 let add acc line =
-  if String.trim line = "" then ()
-  else begin
-  acc.lines <- acc.lines + 1;
-  match string_field line "type" with
-  | None -> acc.unparsed <- acc.unparsed + 1
-  | Some ty -> (
-      bump acc.by_type ty;
-      match ty with
-      | "msg" ->
-          let kind = Option.value (string_field line "kind") ~default:"?" in
-          let bytes = Option.value (int_field line "bytes") ~default:0 in
-          let cell =
-            match Hashtbl.find_opt acc.msg_by_kind kind with
-            | Some r -> r
-            | None ->
-                let r =
-                  {
-                    mc = 0;
-                    mb = 0;
-                    bytes_h = Obs.Histogram.make Obs.Histogram.default_edges;
-                    cost_h = Obs.Histogram.make cost_edges;
-                  }
-                in
-                Hashtbl.add acc.msg_by_kind kind r;
-                r
-          in
-          cell.mc <- cell.mc + 1;
-          cell.mb <- cell.mb + bytes;
-          Obs.Histogram.observe cell.bytes_h (float_of_int bytes);
-          Obs.Histogram.observe cell.cost_h (Network.msg_cost Network.default ~bytes)
-      | "fault" ->
-          if string_field line "kind" = Some "write" then
-            acc.write_faults <- acc.write_faults + 1
-          else acc.read_faults <- acc.read_faults + 1
-      | "presend" ->
-          if string_field line "kind" = Some "write" then
-            acc.presend_writes <- acc.presend_writes + 1
-      | "sched_conflict" -> acc.conflicts <- acc.conflicts + 1
-      | _ -> ())
+  if String.trim line <> "" then begin
+    acc.lines <- acc.lines + 1;
+    let j = Result.value (Json.parse line) ~default:Json.Null in
+    let str key = Result.to_option (Json.(field key string) j) in
+    match str "type" with
+    | None -> acc.unparsed <- acc.unparsed + 1
+    | Some ty -> (
+        bump acc.by_type ty;
+        match ty with
+        | "msg" ->
+            let kind = Option.value (str "kind") ~default:"?" in
+            let bytes = Result.value (Json.(field "bytes" int) j) ~default:0 in
+            let cell =
+              match Hashtbl.find_opt acc.msg_by_kind kind with
+              | Some r -> r
+              | None ->
+                  let r =
+                    {
+                      mc = 0;
+                      mb = 0;
+                      bytes_h = Obs.Histogram.make Obs.Histogram.default_edges;
+                      cost_h = Obs.Histogram.make cost_edges;
+                    }
+                  in
+                  Hashtbl.add acc.msg_by_kind kind r;
+                  r
+            in
+            cell.mc <- cell.mc + 1;
+            cell.mb <- cell.mb + bytes;
+            Obs.Histogram.observe cell.bytes_h (float_of_int bytes);
+            Obs.Histogram.observe cell.cost_h (Network.msg_cost Network.default ~bytes)
+        | "fault" ->
+            if str "kind" = Some "write" then acc.write_faults <- acc.write_faults + 1
+            else acc.read_faults <- acc.read_faults + 1
+        | "presend" ->
+            if str "kind" = Some "write" then acc.presend_writes <- acc.presend_writes + 1
+        | "sched_conflict" -> acc.conflicts <- acc.conflicts + 1
+        | _ -> ())
   end
 
 (* -- rendering ------------------------------------------------------------ *)

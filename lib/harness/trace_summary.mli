@@ -6,8 +6,9 @@
     kind (payload-size histograms on {!Ccdsm_obs.Obs.Histogram.default_edges}
     and cost histograms on the same edges mapped through
     {!Ccdsm_tempest.Network.msg_cost} under [Network.default]), fault and
-    presend totals.  The parser only understands that fixed, flat format —
-    it is a reporting aid, not a general JSON reader. *)
+    presend totals.  A line counts when it parses as a JSON object with a
+    string ["type"]; other fields are optional, so partial traces still
+    summarize. *)
 
 val of_channel : in_channel -> string
 (** Consume the channel to EOF and render the summary. *)

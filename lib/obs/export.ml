@@ -3,23 +3,9 @@
    and floats go through [Obs.float_to_string]. *)
 
 module Stats = Ccdsm_util.Stats
+module Json = Ccdsm_util.Json
 
 let f2s = Obs.float_to_string
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Quantile over exported histogram data; same interpolation rule as
    [Obs.Histogram.quantile]. *)
@@ -114,7 +100,7 @@ let prometheus reg = prometheus_of_snapshot (Obs.Registry.snapshot reg)
 let json_labels labels =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) labels)
+      (List.map (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v) labels)
   ^ "}"
 
 let json_float_array a = "[" ^ String.concat "," (List.map f2s (Array.to_list a)) ^ "]"
@@ -123,27 +109,27 @@ let json_int_array a = "[" ^ String.concat "," (List.map string_of_int (Array.to
 let json_metric (r : Obs.row) =
   match r.value with
   | Obs.VCounter v ->
-      Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"type\":\"counter\",\"value\":%d}"
-        (json_escape r.name) (json_labels r.labels) v
+      Printf.sprintf "{\"name\":%s,\"labels\":%s,\"type\":\"counter\",\"value\":%d}"
+        (Json.quote r.name) (json_labels r.labels) v
   | Obs.VGauge v ->
-      Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"type\":\"gauge\",\"value\":%s}"
-        (json_escape r.name) (json_labels r.labels) (f2s v)
+      Printf.sprintf "{\"name\":%s,\"labels\":%s,\"type\":\"gauge\",\"value\":%s}"
+        (Json.quote r.name) (json_labels r.labels) (f2s v)
   | Obs.VHistogram { edges; counts; sum; count } ->
       let q p = f2s (hist_quantile ~edges ~counts ~count p) in
       Printf.sprintf
-        "{\"name\":\"%s\",\"labels\":%s,\"type\":\"histogram\",\"edges\":%s,\"counts\":%s,\"sum\":%s,\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-        (json_escape r.name) (json_labels r.labels) (json_float_array edges)
+        "{\"name\":%s,\"labels\":%s,\"type\":\"histogram\",\"edges\":%s,\"counts\":%s,\"sum\":%s,\"count\":%d,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
+        (Json.quote r.name) (json_labels r.labels) (json_float_array edges)
         (json_int_array counts) (f2s sum) count (q 0.5) (q 0.95) (q 0.99)
 
 let json_span (s : Obs.span) =
   let deltas =
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (f2s v)) s.deltas)
+        (List.map (fun (k, v) -> Json.quote k ^ ":" ^ f2s v) s.deltas)
     ^ "}"
   in
-  Printf.sprintf "{\"seq\":%d,\"phase\":%d,\"name\":\"%s\",\"labels\":%s,\"deltas\":%s}" s.seq
-    s.phase (json_escape s.name) (json_labels s.labels) deltas
+  Printf.sprintf "{\"seq\":%d,\"phase\":%d,\"name\":%s,\"labels\":%s,\"deltas\":%s}" s.seq
+    s.phase (Json.quote s.name) (json_labels s.labels) deltas
 
 (* Per-span-name summary of the watched "total_us" delta, exercising the
    sorted-array quantiles and sample stddev from Stats. *)
@@ -162,8 +148,8 @@ let span_summaries spans =
     (fun name ->
       let samples = Array.of_list (List.rev (Hashtbl.find tbl name)) in
       Printf.sprintf
-        "{\"name\":\"%s\",\"n\":%d,\"total_us\":{\"mean\":%s,\"stddev\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}}"
-        (json_escape name) (Array.length samples)
+        "{\"name\":%s,\"n\":%d,\"total_us\":{\"mean\":%s,\"stddev\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}}"
+        (Json.quote name) (Array.length samples)
         (f2s (Stats.mean samples))
         (f2s (Stats.stddev_sample samples))
         (f2s (Stats.quantile samples 0.5))

@@ -1,4 +1,5 @@
 module Ascii = Ccdsm_util.Ascii
+module Json = Ccdsm_util.Json
 
 type span = {
   id : int;
@@ -241,19 +242,6 @@ let summary t =
 
 (* -- serialization -------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let fstr = Obs.float_to_string
 
 let to_chrome t =
@@ -275,30 +263,29 @@ let to_chrome t =
     if s.dur > 0.0 then
       Buffer.add_string b
         (Printf.sprintf
-           ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%d,\"parent\":%d,\"seg\":%d}}"
-           (json_escape s.name) (json_escape s.cat) s.track s.t0 s.dur s.id s.parent s.seg)
+           ",\n{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%d,\"parent\":%d,\"seg\":%d}}"
+           (Json.quote s.name) (Json.quote s.cat) s.track s.t0 s.dur s.id s.parent s.seg)
     else
       Buffer.add_string b
         (Printf.sprintf
-           ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"id\":%d,\"parent\":%d,\"seg\":%d}}"
-           (json_escape s.name) (json_escape s.cat) s.track s.t0 s.id s.parent s.seg);
+           ",\n{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"args\":{\"id\":%d,\"parent\":%d,\"seg\":%d}}"
+           (Json.quote s.name) (Json.quote s.cat) s.track s.t0 s.id s.parent s.seg);
     if s.flow_dst >= 0 then begin
       Buffer.add_string b
         (Printf.sprintf
-           ",\n{\"name\":\"flow\",\"cat\":\"%s\",\"ph\":\"s\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%.3f}"
-           (json_escape s.cat) s.id s.track s.t0);
+           ",\n{\"name\":\"flow\",\"cat\":%s,\"ph\":\"s\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%.3f}"
+           (Json.quote s.cat) s.id s.track s.t0);
       Buffer.add_string b
         (Printf.sprintf
-           ",\n{\"name\":\"flow\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%.3f}"
-           (json_escape s.cat) s.id s.flow_dst (s.t0 +. s.dur))
+           ",\n{\"name\":\"flow\",\"cat\":%s,\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%.3f}"
+           (Json.quote s.cat) s.id s.flow_dst (s.t0 +. s.dur))
     end
   done;
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
 
 let farray a = "[" ^ String.concat "," (List.map fstr (Array.to_list a)) ^ "]"
-let sarray a =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") (Array.to_list a)) ^ "]"
+let sarray a = "[" ^ String.concat "," (List.map Json.quote (Array.to_list a)) ^ "]"
 
 let to_jsonl t =
   let b = Buffer.create 4096 in
@@ -309,176 +296,79 @@ let to_jsonl t =
     let s = t.sp.(i) in
     Buffer.add_string b
       (Printf.sprintf
-         "{\"type\":\"span\",\"id\":%d,\"track\":%d,\"cat\":\"%s\",\"name\":\"%s\",\"t0\":%s,\"dur\":%s,\"parent\":%d,\"flow\":%d,\"seg\":%d}\n"
-         s.id s.track (json_escape s.cat) (json_escape s.name) (fstr s.t0) (fstr s.dur) s.parent
+         "{\"type\":\"span\",\"id\":%d,\"track\":%d,\"cat\":%s,\"name\":%s,\"t0\":%s,\"dur\":%s,\"parent\":%d,\"flow\":%d,\"seg\":%d}\n"
+         s.id s.track (Json.quote s.cat) (Json.quote s.name) (fstr s.t0) (fstr s.dur) s.parent
          s.flow_dst s.seg)
   done;
   List.iter
     (fun seg ->
       Buffer.add_string b
         (Printf.sprintf
-           "{\"type\":\"segment\",\"id\":%d,\"label\":\"%s\",\"t0\":%s,\"t1\":%s,\"node_bucket\":%s,\"node_kind\":%s,\"fill\":%s}\n"
-           seg.seg_id (json_escape seg.label) (fstr seg.s_t0) (fstr seg.s_t1)
+           "{\"type\":\"segment\",\"id\":%d,\"label\":%s,\"t0\":%s,\"t1\":%s,\"node_bucket\":%s,\"node_kind\":%s,\"fill\":%s}\n"
+           seg.seg_id (Json.quote seg.label) (fstr seg.s_t0) (fstr seg.s_t1)
            (farray seg.node_bucket) (farray seg.node_kind) (farray seg.fill)))
     (segments t);
   Buffer.add_string b (Printf.sprintf "{\"type\":\"totals\",\"node_bucket\":%s}\n" (farray t.tot));
   Buffer.contents b
 
-(* -- parsing (naive field extraction over our own fixed dialect) ---------- *)
+(* -- parsing ----------------------------------------------------------------- *)
 
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None else if String.sub line i m = pat then Some (i + m) else go (i + 1)
-  in
-  go 0
+let header line =
+  let open Json.Syntax in
+  let* j = Json.parse line in
+  let* ty = Json.(field "type" string) j in
+  if ty <> "timeline" then Error (Printf.sprintf "type %S" ty)
+  else
+    let* nodes = Json.(field "nodes" int) j
+    and* buckets = Json.(field "buckets" (list string)) j
+    and* kinds = Json.(field "kinds" (list string)) j in
+    match create ~nodes ~buckets:(Array.of_list buckets) ~kinds:(Array.of_list kinds) with
+    | t -> Ok t
+    | exception Invalid_argument msg -> Error msg
 
-let str_field line key =
-  match find_sub line ("\"" ^ key ^ "\":\"") with
-  | None -> None
-  | Some j ->
-      let buf = Buffer.create 16 in
-      let n = String.length line in
-      let rec go i =
-        if i >= n then None
-        else
-          match line.[i] with
-          | '"' -> Some (Buffer.contents buf)
-          | '\\' when i + 1 < n ->
-              (match line.[i + 1] with
-              | 'n' -> Buffer.add_char buf '\n'
-              | c -> Buffer.add_char buf c);
-              go (i + 2)
-          | c ->
-              Buffer.add_char buf c;
-              go (i + 1)
-      in
-      go j
-
-let num_field line key =
-  match find_sub line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      while
-        !k < n
-        && (match line.[!k] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-      do
-        incr k
-      done;
-      if !k = j then None else float_of_string_opt (String.sub line j (!k - j))
-
-let int_field line key = Option.map int_of_float (num_field line key)
-
-let split_top s =
-  (* split a bracket-free comma-separated body *)
-  if String.trim s = "" then []
-  else String.split_on_char ',' s
-
-let float_array_field line key =
-  match find_sub line ("\"" ^ key ^ "\":[") with
-  | None -> None
-  | Some j -> (
-      match String.index_from_opt line j ']' with
-      | None -> None
-      | Some k ->
-          let items = split_top (String.sub line j (k - j)) in
-          let ok = ref true in
-          let a =
-            Array.of_list
-              (List.map
-                 (fun s ->
-                   match float_of_string_opt (String.trim s) with
-                   | Some v -> v
-                   | None ->
-                       ok := false;
-                       0.0)
-                 items)
-          in
-          if !ok then Some a else None)
-
-let str_array_field line key =
-  match find_sub line ("\"" ^ key ^ "\":[") with
-  | None -> None
-  | Some j -> (
-      match String.index_from_opt line j ']' with
-      | None -> None
-      | Some k ->
-          let items = split_top (String.sub line j (k - j)) in
-          let strip s =
-            let s = String.trim s in
-            if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-              Some (String.sub s 1 (String.length s - 2))
-            else None
-          in
-          let parsed = List.filter_map strip items in
-          if List.length parsed = List.length items then Some (Array.of_list parsed) else None)
+(* One body line into [t]: a span, a segment or the totals. *)
+let add_line t line =
+  let open Json.Syntax in
+  let* j = Json.parse line in
+  let int key = Json.(field key int) j and num key = Json.(field key float) j in
+  let str key = Json.(field key string) j in
+  let floats key = Result.map Array.of_list (Json.(field key (list float)) j) in
+  let* ty = Json.(field "type" string) j in
+  match ty with
+  | "span" ->
+      let* id = int "id" and* track = int "track" and* cat = str "cat" and* name = str "name"
+      and* t0 = num "t0" and* dur = num "dur" and* parent = int "parent"
+      and* flow_dst = int "flow" and* seg = int "seg" in
+      Ok (push t { id; track; cat; name; t0; dur; parent; flow_dst; seg })
+  | "segment" ->
+      let* seg_id = int "id" and* label = str "label" and* s_t0 = num "t0" and* s_t1 = num "t1"
+      and* node_bucket = floats "node_bucket" and* node_kind = floats "node_kind"
+      and* fill = floats "fill" in
+      t.segs <- { seg_id; label; s_t0; s_t1; node_bucket; node_kind; fill } :: t.segs;
+      t.nsegs <- t.nsegs + 1;
+      t.seg_t0 <- s_t1;
+      Ok ()
+  | "totals" ->
+      let* a = floats "node_bucket" in
+      if Array.length a <> Array.length t.tot then Error "totals: wrong length"
+      else Ok (t.tot <- a)
+  | _ -> Error "not a timeline line"
 
 let of_jsonl content =
-  let lines = String.split_on_char '\n' content |> List.filter (fun l -> String.trim l <> "") in
-  match lines with
+  match String.split_on_char '\n' content |> List.filter (fun l -> String.trim l <> "") with
   | [] -> Error "empty timeline (no lines)"
-  | header :: rest -> (
-      match
-        ( str_field header "type",
-          int_field header "nodes",
-          str_array_field header "buckets",
-          str_array_field header "kinds" )
-      with
-      | Some "timeline", Some nodes, Some buckets, Some kinds -> (
-          let t = create ~nodes ~buckets ~kinds in
-          let err = ref None in
-          let fail line msg = if !err = None then err := Some (Printf.sprintf "%s: %s" msg line) in
-          List.iter
-            (fun line ->
-              match str_field line "type" with
-              | Some "span" -> (
-                  match
-                    ( int_field line "id",
-                      int_field line "track",
-                      str_field line "cat",
-                      str_field line "name",
-                      num_field line "t0",
-                      num_field line "dur",
-                      int_field line "parent",
-                      int_field line "flow",
-                      int_field line "seg" )
-                  with
-                  | ( Some id,
-                      Some track,
-                      Some cat,
-                      Some name,
-                      Some t0,
-                      Some dur,
-                      Some parent,
-                      Some flow_dst,
-                      Some seg ) ->
-                      push t { id; track; cat; name; t0; dur; parent; flow_dst; seg }
-                  | _ -> fail line "bad span line")
-              | Some "segment" -> (
-                  match
-                    ( int_field line "id",
-                      str_field line "label",
-                      num_field line "t0",
-                      num_field line "t1",
-                      float_array_field line "node_bucket",
-                      float_array_field line "node_kind",
-                      float_array_field line "fill" )
-                  with
-                  | Some seg_id, Some label, Some s_t0, Some s_t1, Some nb, Some nk, Some fl ->
-                      t.segs <- { seg_id; label; s_t0; s_t1; node_bucket = nb; node_kind = nk; fill = fl } :: t.segs;
-                      t.nsegs <- t.nsegs + 1;
-                      t.seg_t0 <- s_t1
-                  | _ -> fail line "bad segment line")
-              | Some "totals" -> (
-                  match float_array_field line "node_bucket" with
-                  | Some a when Array.length a = Array.length t.tot -> t.tot <- a
-                  | _ -> fail line "bad totals line")
-              | _ -> fail line "not a timeline line")
-            rest;
-          match !err with Some e -> Error e | None -> Ok t)
-      | _ -> Error "not a timeline file (missing header line)")
+  | first :: rest -> (
+      match header first with
+      | Error e -> Error (Printf.sprintf "not a timeline file (bad header line: %s)" e)
+      | Ok t ->
+          let rec go = function
+            | [] -> Ok t
+            | line :: rest -> (
+                match add_line t line with
+                | Ok () -> go rest
+                | Error e -> Error (Printf.sprintf "bad timeline line (%s): %s" e line))
+          in
+          go rest)
 
 let load path =
   match open_in_bin path with

@@ -1,4 +1,5 @@
 module Machine = Ccdsm_tempest.Machine
+module Json = Ccdsm_util.Json
 
 type event =
   | Run of { node : int; write : bool; addr : int; stride : int; count : int }
@@ -152,6 +153,19 @@ let push_cell c k a b d e =
   c.ev.(i + 4) <- e;
   c.ev_len <- i + 5
 
+(* The event in the cell at [j]; the "ev" array of the JSON form uses the
+   same layout.  [None] on an unknown kind. *)
+let cell_event a j =
+  match a.(j) with
+  | 0 | 1 ->
+      Some
+        (Run
+           { node = a.(j + 1); write = a.(j) = 1; addr = a.(j + 2); stride = a.(j + 3); count = a.(j + 4) })
+  | 2 -> Some (Alloc { words = a.(j + 1); home = a.(j + 2) })
+  | 3 -> Some (Heap_alloc { node = a.(j + 1); words = a.(j + 2); spilled = a.(j + 3) <> 0 })
+  | 4 -> Some (Flush { fphase = a.(j + 1) })
+  | _ -> None
+
 let flush_run c =
   if c.run_open then begin
     push_cell c (if c.r_write then 1 else 0) c.r_node c.r_start c.r_stride c.r_count;
@@ -200,23 +214,7 @@ let close_segment c =
   flush_run c;
   let faults, msgs, bytes, presends = counters c in
   let bt = bucket_sums c in
-  let events =
-    Array.init (c.ev_len / 5) (fun i ->
-        let j = i * 5 in
-        match c.ev.(j) with
-        | 0 | 1 ->
-            Run
-              {
-                node = c.ev.(j + 1);
-                write = c.ev.(j) = 1;
-                addr = c.ev.(j + 2);
-                stride = c.ev.(j + 3);
-                count = c.ev.(j + 4);
-              }
-        | 2 -> Alloc { words = c.ev.(j + 1); home = c.ev.(j + 2) }
-        | 3 -> Heap_alloc { node = c.ev.(j + 1); words = c.ev.(j + 2); spilled = c.ev.(j + 3) <> 0 }
-        | _ -> Flush { fphase = c.ev.(j + 1) })
-  in
+  let events = Array.init (c.ev_len / 5) (fun i -> Option.get (cell_event c.ev (i * 5))) in
   let rdist = ref [] in
   for node = c.nnodes - 1 downto 0 do
     let nonzero = ref (c.h_cold.(node) > 0) in
@@ -431,20 +429,6 @@ let collect ?sample_presends ~app ~protocol ~arena_blocks machine f =
 
 (* -- canonical JSON ------------------------------------------------------ *)
 
-let esc b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 (* Round-trip-exact float literal: the shortest of %.12g / %.17g that parses
    back to the same value, so saved profiles reload bit-for-bit. *)
 let float_str v =
@@ -463,9 +447,9 @@ let bucket_us_json b a =
 let to_json p =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"version\":2,\"app\":";
-  esc b p.app;
+  Buffer.add_string b (Json.quote p.app);
   Buffer.add_string b ",\"protocol\":";
-  esc b p.protocol;
+  Buffer.add_string b (Json.quote p.protocol);
   Printf.bprintf b ",\"nodes\":%d,\"block_bytes\":%d,\"arena_blocks\":%d" p.nodes p.block_bytes
     p.arena_blocks;
   Printf.bprintf b ",\"outside\":{\"msgs\":%d,\"bytes\":%d,\"bucket_us\":" p.out_msgs p.out_bytes;
@@ -477,7 +461,7 @@ let to_json p =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n";
       Printf.bprintf b "{\"seq\":%d,\"phase\":%d,\"name\":" s.seq s.phase;
-      esc b s.name;
+      Buffer.add_string b (Json.quote s.name);
       Printf.bprintf b ",\"record\":%b,\"presend\":%b" s.record s.presend;
       Printf.bprintf b ",\"reads\":%d,\"writes\":%d" s.reads s.writes;
       Printf.bprintf b ",\"faults\":%d,\"msgs\":%d,\"bytes\":%d,\"presends\":%d" s.a_faults s.a_msgs
@@ -509,254 +493,85 @@ let to_json p =
   Buffer.add_string b "]}\n";
   Buffer.contents b
 
-(* Minimal recursive-descent parser for the subset emitted above: objects,
-   arrays, strings, integers, floats, booleans.  Integer counters parse to
-   [I] (exact); only numbers written with a '.' or exponent parse to [F]. *)
-type jv = O of (string * jv) list | A of jv list | I of int | F of float | S of string | B of bool
+(* -- decoding ---------------------------------------------------------------- *)
 
-exception Bad of string
+open Json.Syntax
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect ch =
-    if !pos >= n || s.[!pos] <> ch then fail (Printf.sprintf "expected '%c'" ch);
-    incr pos
-  in
-  let rec value () =
-    skip ();
-    if !pos >= n then fail "unexpected end of input";
-    match s.[!pos] with
-    | '{' ->
-        incr pos;
-        skip ();
-        if !pos < n && s.[!pos] = '}' then begin
-          incr pos;
-          O []
-        end
-        else begin
-          let fields = ref [] in
-          let rec loop () =
-            skip ();
-            let k = match value_string () with k -> k in
-            skip ();
-            expect ':';
-            let v = value () in
-            fields := (k, v) :: !fields;
-            skip ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              loop ()
-            end
-            else expect '}'
-          in
-          loop ();
-          O (List.rev !fields)
-        end
-    | '[' ->
-        incr pos;
-        skip ();
-        if !pos < n && s.[!pos] = ']' then begin
-          incr pos;
-          A []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            let v = value () in
-            items := v :: !items;
-            skip ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              loop ()
-            end
-            else expect ']'
-          in
-          loop ();
-          A (List.rev !items)
-        end
-    | '"' -> S (value_string ())
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          B true
-        end
-        else fail "bad literal"
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          B false
-        end
-        else fail "bad literal"
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if s.[!pos] = '-' then incr pos;
-        while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-          incr pos
-        done;
-        if !pos = start || (s.[start] = '-' && !pos = start + 1) then fail "bad number";
-        if !pos < n && (s.[!pos] = '.' || s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-          if s.[!pos] = '.' then begin
-            incr pos;
-            let digits = !pos in
-            while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-              incr pos
-            done;
-            if !pos = digits then fail "bad number"
-          end;
-          if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-            incr pos;
-            if !pos < n && (s.[!pos] = '+' || s.[!pos] = '-') then incr pos;
-            let digits = !pos in
-            while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-              incr pos
-            done;
-            if !pos = digits then fail "bad number"
-          end;
-          F (float_of_string (String.sub s start (!pos - start)))
-        end
-        else I (int_of_string (String.sub s start (!pos - start)))
-    | _ -> fail "unexpected character"
-  and value_string () =
-    skip ();
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'u' ->
-              if !pos + 4 >= n then fail "bad unicode escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              if code > 0xff then fail "non-latin unicode escape";
-              Buffer.add_char b (Char.chr code);
-              pos := !pos + 4
-          | _ -> fail "bad escape");
-          incr pos;
-          loop ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let v = value () in
-  skip ();
-  if !pos <> n then fail "trailing content";
-  v
+let bucket_us j =
+  let* l = Json.(field "bucket_us" (list float)) j in
+  if List.length l <> nmb then Error (Printf.sprintf "field \"bucket_us\": expected %d entries" nmb)
+  else Ok (Array.of_list l)
 
-let field name = function
-  | O fields -> (
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing field %S" name)))
-  | _ -> raise (Bad (Printf.sprintf "expected object for field %S" name))
-
-let as_int name = function I i -> i | _ -> raise (Bad (Printf.sprintf "field %S: expected int" name))
-
-let as_float name = function
-  | I i -> float_of_int i
-  | F f -> f
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected number" name))
-let as_str name = function
-  | S s -> s
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected string" name))
-
-let as_bool name = function
-  | B b -> b
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected bool" name))
-
-let as_arr name = function
-  | A l -> l
-  | _ -> raise (Bad (Printf.sprintf "field %S: expected array" name))
-
-let int_field j name = as_int name (field name j)
-let str_field j name = as_str name (field name j)
-let bool_field j name = as_bool name (field name j)
-
-let bucket_field j =
-  let l = List.map (as_float "bucket_us") (as_arr "bucket_us" (field "bucket_us" j)) in
-  if List.length l <> nmb then
-    raise (Bad (Printf.sprintf "field \"bucket_us\": expected %d entries" nmb));
-  Array.of_list l
-
-let decode_events l =
-  let cells = List.map (as_int "ev") l in
-  let n = List.length cells in
-  if n mod 5 <> 0 then raise (Bad "field \"ev\": length not a multiple of 5");
+let decode_events cells =
   let a = Array.of_list cells in
-  Array.init (n / 5) (fun i ->
-      let j = i * 5 in
-      match a.(j) with
-      | 0 | 1 ->
-          Run { node = a.(j + 1); write = a.(j) = 1; addr = a.(j + 2); stride = a.(j + 3); count = a.(j + 4) }
-      | 2 -> Alloc { words = a.(j + 1); home = a.(j + 2) }
-      | 3 -> Heap_alloc { node = a.(j + 1); words = a.(j + 2); spilled = a.(j + 3) <> 0 }
-      | 4 -> Flush { fphase = a.(j + 1) }
-      | k -> raise (Bad (Printf.sprintf "field \"ev\": unknown event kind %d" k)))
+  if Array.length a mod 5 <> 0 then Error "length not a multiple of 5"
+  else
+    let evs = Array.init (Array.length a / 5) (fun i -> cell_event a (i * 5)) in
+    match Array.find_index Option.is_none evs with
+    | Some i -> Error (Printf.sprintf "unknown event kind %d" a.(i * 5))
+    | None -> Ok (Array.map Option.get evs)
 
 let decode_hist j =
-  match j with
-  | A (I hnode :: I cold :: rest) ->
-      { hnode; cold; buckets = Array.of_list (List.map (as_int "rdist") rest) }
-  | _ -> raise (Bad "field \"rdist\": expected [node, cold, buckets...]")
+  match Json.(list int) j with
+  | Ok (hnode :: cold :: buckets) -> Ok { hnode; cold; buckets = Array.of_list buckets }
+  | _ -> Error "expected [node, cold, buckets...]"
 
 let decode_segment j =
-  {
-    seq = int_field j "seq";
-    phase = int_field j "phase";
-    name = str_field j "name";
-    record = bool_field j "record";
-    presend = bool_field j "presend";
-    reads = int_field j "reads";
-    writes = int_field j "writes";
-    a_faults = int_field j "faults";
-    a_msgs = int_field j "msgs";
-    a_bytes = int_field j "bytes";
-    a_presends = int_field j "presends";
-    a_bucket_us = bucket_field j;
-    events = decode_events (as_arr "ev" (field "ev" j));
-    rdist = Array.of_list (List.map decode_hist (as_arr "rdist" (field "rdist" j)));
-  }
-
-let of_json s =
-  match
-    let j = parse_json s in
-    let version = int_field j "version" in
-    if version <> 2 then raise (Bad (Printf.sprintf "unsupported profile version %d" version));
+  let int key = Json.(field key int) j and bool key = Json.(field key bool) j in
+  let* seq = int "seq" and* phase = int "phase" and* name = Json.(field "name" string) j
+  and* record = bool "record" and* presend = bool "presend" and* reads = int "reads"
+  and* writes = int "writes" and* a_faults = int "faults" and* a_msgs = int "msgs"
+  and* a_bytes = int "bytes" and* a_presends = int "presends" and* a_bucket_us = bucket_us j
+  and* events = Json.(field "ev" (fun v -> Result.bind (list int v) decode_events)) j
+  and* rdist = Json.(field "rdist" (list decode_hist)) j in
+  Ok
     {
-      app = str_field j "app";
-      protocol = str_field j "protocol";
-      nodes = int_field j "nodes";
-      block_bytes = int_field j "block_bytes";
-      arena_blocks = int_field j "arena_blocks";
-      out_msgs = int_field (field "outside" j) "msgs";
-      out_bytes = int_field (field "outside" j) "bytes";
-      out_bucket_us = bucket_field (field "outside" j);
-      segments = Array.of_list (List.map decode_segment (as_arr "segments" (field "segments" j)));
+      seq;
+      phase;
+      name;
+      record;
+      presend;
+      reads;
+      writes;
+      a_faults;
+      a_msgs;
+      a_bytes;
+      a_presends;
+      a_bucket_us;
+      events;
+      rdist = Array.of_list rdist;
     }
-  with
-  | p -> Ok p
-  | exception Bad msg -> Error ("invalid profile: " ^ msg)
-  | exception Failure msg -> Error ("invalid profile: " ^ msg)
+
+let decode j =
+  let int key = Json.(field key int) j in
+  let* version = int "version" in
+  if version <> 2 then Error (Printf.sprintf "unsupported profile version %d" version)
+  else
+    let* app = Json.(field "app" string) j and* protocol = Json.(field "protocol" string) j
+    and* nodes = int "nodes" and* block_bytes = int "block_bytes"
+    and* arena_blocks = int "arena_blocks"
+    and* out_msgs, out_bytes, out_bucket_us =
+      Json.field "outside"
+        (fun o ->
+          let* m = Json.(field "msgs" int) o and* b = Json.(field "bytes" int) o
+          and* u = bucket_us o in
+          Ok (m, b, u))
+        j
+    and* segments = Json.(field "segments" (list decode_segment)) j in
+    Ok
+      {
+        app;
+        protocol;
+        nodes;
+        block_bytes;
+        arena_blocks;
+        out_msgs;
+        out_bytes;
+        out_bucket_us;
+        segments = Array.of_list segments;
+      }
+
+let of_json s = Result.map_error (fun e -> "invalid profile: " ^ e) (Result.bind (Json.parse s) decode)
 
 let save path p =
   let oc = open_out path in

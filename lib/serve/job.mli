@@ -59,5 +59,4 @@ val key : spec -> string
 (** {!digest} as 16 hex digits — the result-cache key. *)
 
 val escape_to_json : string -> string
-(** Quote and escape a string as a JSON literal (shared by the response
-    writers). *)
+(** Alias of {!Ccdsm_util.Json.quote}. *)

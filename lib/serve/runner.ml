@@ -11,6 +11,7 @@ module Profile = Ccdsm_rdist.Profile
 module Model = Ccdsm_rdist.Model
 module Obs = Ccdsm_obs.Obs
 module Fnv = Ccdsm_util.Fnv
+module Json = Ccdsm_util.Json
 
 type app = string * bool * (Runtime.t -> float)
 
@@ -106,9 +107,9 @@ let profile_count () =
 let predict_json ~app_name ~nodes ~block_bytes (pred : Model.prediction) =
   Printf.sprintf
     "{\"app\":%s,\"block_bytes\":%d,\"bytes\":%d,\"faults\":%d,\"kind\":\"predict\",\"msgs\":%d,\"nodes\":%d,\"presends\":%d,\"protocol\":%s}"
-    (Job.escape_to_json (String.lowercase_ascii app_name))
+    (Json.quote (String.lowercase_ascii app_name))
     block_bytes pred.Model.bytes pred.Model.faults pred.Model.msgs nodes pred.Model.presends
-    (Job.escape_to_json pred.Model.p_protocol)
+    (Json.quote pred.Model.p_protocol)
 
 let grid_for (p : pred) =
   let spec = p.p_spec in
@@ -170,7 +171,7 @@ let latency_json buckets =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (name, us) -> Printf.sprintf "%s:%s" (Job.escape_to_json name) (Obs.float_to_string us))
+         (fun (name, us) -> Printf.sprintf "%s:%s" (Json.quote name) (Obs.float_to_string us))
          (List.sort (fun (a, _) (b, _) -> compare a b) buckets))
   ^ "}"
 
@@ -179,13 +180,13 @@ let result_json (report : Proto_diff.report) =
   | [ row ] ->
       Printf.sprintf
         "{\"app\":%s,\"block_bytes\":%d,\"bytes\":%d,\"checksum\":%s,\"digest\":\"%s\",\"latency\":%s,\"msgs\":%d,\"nodes\":%d,\"protocol\":%s,\"remote_misses\":%d,\"total_us\":%s}"
-        (Job.escape_to_json report.app)
+        (Json.quote report.app)
         report.block_bytes row.bytes
         (Obs.float_to_string row.checksum)
         (Fnv.to_hex row.digest)
         (latency_json row.Proto_diff.buckets)
         row.msgs report.nodes
-        (Job.escape_to_json row.protocol)
+        (Json.quote row.protocol)
         row.remote_misses
         (Obs.float_to_string row.total_us)
   | rows ->
@@ -287,7 +288,7 @@ let slow_jobs_json () =
       e.s_exact e.s_key
       (Obs.float_to_string e.s_run_ms)
       e.s_spans e.s_canonical
-      (Job.escape_to_json e.s_timeline)
+      (Json.quote e.s_timeline)
       (Obs.float_to_string e.s_wall_us)
   in
   Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," (List.map entry_json (slow_jobs ())))

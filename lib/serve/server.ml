@@ -20,6 +20,7 @@
    workers); the daemon's own metrics live in a private mutex-guarded
    registry exported on [/metrics]. *)
 
+module Json = Ccdsm_util.Json
 module Pool = Ccdsm_harness.Pool
 module Obs = Ccdsm_obs.Obs
 module Export = Ccdsm_obs.Export
@@ -131,10 +132,10 @@ let log_job t ~id ~key ~cache ~queue_wait_us ~run_us ~slow status =
       let line =
         Printf.sprintf
           "{\"cache\":%s,\"id\":%s,\"key\":%s,\"queue_wait_us\":%s,\"run_us\":%s,\"slow\":%b,\"status\":%s}"
-          (Job.escape_to_json cache) (id_lit id)
+          (Json.quote cache) (id_lit id)
           (match key with None -> "null" | Some k -> "\"" ^ k ^ "\"")
           (Obs.float_to_string queue_wait_us)
-          (Obs.float_to_string run_us) slow (Job.escape_to_json status)
+          (Obs.float_to_string run_us) slow (Json.quote status)
       in
       Mutex.lock t.log_mutex;
       output_string oc line;
@@ -149,7 +150,7 @@ let render ~id ~key ~kind outcome =
         (id_lit id) kind key json
   | Job_error msg ->
       Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"cache\":\"%s\",\"key\":\"%s\",\"error\":%s}"
-        (id_lit id) kind key (Job.escape_to_json msg)
+        (id_lit id) kind key (Json.quote msg)
   | Timeout ->
       Printf.sprintf "{\"id\":%s,\"status\":\"timeout\",\"key\":\"%s\",\"error\":\"job timed out\"}"
         (id_lit id) key
@@ -167,7 +168,7 @@ let send_spec_error t conn ~id msg =
   tick t (fun () -> Obs.Counter.inc t.req_error);
   write_line conn
     (Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"error\":%s}" (id_lit id)
-       (Job.escape_to_json msg))
+       (Json.quote msg))
 
 let send_rejected t conn ~id ~key =
   tick t (fun () -> Obs.Counter.inc t.req_rejected);
@@ -322,18 +323,43 @@ let handle_line t conn line =
                   ignore (Cache.cancel t.cache ~key (Job_error "server shutting down"));
                   Atomic.decr t.admitted)))
 
+(* A spec line longer than this gets an error record instead of a parse;
+   the reader drops its bytes up to the next newline, so one connection
+   never buffers more than this. *)
+let max_line_bytes = 65536
+
 let reader_loop t conn =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
-  let flush_lines () =
-    let s = Buffer.contents buf in
-    match String.rindex_opt s '\n' with
-    | None -> ()
-    | Some last ->
+  (* Inside an over-long line, discarding up to its newline. *)
+  let skipping = ref false in
+  (* Append chunk bytes [a, b) to the pending line, or reject a line that
+     would pass the cap. *)
+  let append a b =
+    if not !skipping then
+      if Buffer.length buf + (b - a) <= max_line_bytes then Buffer.add_subbytes buf chunk a (b - a)
+      else begin
+        skipping := true;
+        send_spec_error t conn ~id:None
+          (Printf.sprintf "spec line longer than %d bytes (skipped up to the next newline)"
+             max_line_bytes);
+        log_job t ~id:None ~key:None ~cache:"none" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false
+          "error"
+      end
+  in
+  (* Only the bytes just read are scanned for newlines. *)
+  let consume n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get chunk i = '\n' then begin
+        append !start i;
+        if not !skipping then handle_line t conn (Buffer.contents buf);
+        skipping := false;
         Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (last + 1) (String.length s - last - 1));
-        String.split_on_char '\n' (String.sub s 0 last)
-        |> List.iter (fun line -> handle_line t conn line)
+        start := i + 1
+      end
+    done;
+    append !start n
   in
   let rec loop () =
     if not (Atomic.get t.stopping) then
@@ -343,8 +369,7 @@ let reader_loop t conn =
           match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
           | 0 -> ()
           | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              flush_lines ();
+              consume n;
               loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()

@@ -1,3 +1,5 @@
+module Json = Ccdsm_util.Json
+
 type msg_kind = Req | Data | Inval | Ack | Grant | Recall | Update | Reduce
 
 let msg_kind_name = function
@@ -107,7 +109,7 @@ let msg_kind_index = function
 
 let pp ppf ev = Format.pp_print_string ppf (to_json ev)
 
-(* -- parsing (inverse of [to_json], over our own fixed format) ----------- *)
+(* -- parsing (inverse of [to_json]) ------------------------------------- *)
 
 let msg_kind_of_string = function
   | "req" -> Some Req
@@ -120,124 +122,86 @@ let msg_kind_of_string = function
   | "reduce" -> Some Reduce
   | _ -> None
 
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None else if String.sub line i m = pat then Some (i + m) else go (i + 1)
+let decode j =
+  let open Json.Syntax in
+  let int key = Json.(field key int) j in
+  let named key of_string =
+    let* s = Json.(field key string) j in
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "field %S: unknown value %S" key s)
   in
-  go 0
-
-let raw_field line key =
-  (* The characters after ["key":] up to the next ',' or '}'. *)
-  match find_sub line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      while !k < n && line.[!k] <> ',' && line.[!k] <> '}' do
-        incr k
-      done;
-      Some (String.sub line j (!k - j))
-
-let int_field line key = Option.bind (raw_field line key) int_of_string_opt
-let bool_field line key = Option.bind (raw_field line key) bool_of_string_opt
-
-let string_field line key =
-  match find_sub line ("\"" ^ key ^ "\":\"") with
-  | None -> None
-  | Some j -> (
-      match String.index_from_opt line j '"' with
-      | None -> None
-      | Some k -> Some (String.sub line j (k - j)))
+  let write () =
+    named "kind" (function "read" -> Some false | "write" -> Some true | _ -> None)
+  in
+  let* ty = Json.(field "type" string) j in
+  match ty with
+  | "init" ->
+      let* nodes = int "nodes" and* block_bytes = int "block_bytes" in
+      Ok (Init { nodes; block_bytes })
+  | "alloc" ->
+      let* first_block = int "first_block" and* blocks = int "blocks" and* home = int "home" in
+      Ok (Alloc { first_block; blocks; home })
+  | "fault" ->
+      let* node = int "node" and* block = int "block" and* write = write () in
+      Ok (Fault { node; block; write })
+  | "access" ->
+      let* node = int "node" and* addr = int "addr" and* write = write ()
+      and* faulted = Json.(field "faulted" bool) j in
+      Ok (Access { node; addr; write; faulted })
+  | "msg" ->
+      let* src = int "src" and* dst = int "dst" and* bytes = int "bytes"
+      and* kind = named "kind" msg_kind_of_string in
+      Ok (Msg { src; dst; bytes; kind })
+  | "tag" ->
+      let* node = int "node" and* block = int "block" and* before = named "before" Tag.of_string
+      and* after = named "after" Tag.of_string in
+      Ok (Tag_change { node; block; before; after })
+  | "barrier" ->
+      let* bucket = Json.(field "bucket" string) j in
+      Ok (Barrier { bucket })
+  | "phase_begin" ->
+      let* phase = int "phase" in
+      Ok (Phase_begin { phase })
+  | "phase_end" ->
+      let* phase = int "phase" in
+      Ok (Phase_end { phase })
+  | "sched_record" ->
+      let* phase = int "phase" and* block = int "block" and* node = int "node"
+      and* write = write () in
+      Ok (Sched_record { phase; block; node; write })
+  | "sched_conflict" ->
+      let* phase = int "phase" and* block = int "block" in
+      Ok (Sched_conflict { phase; block })
+  | "sched_flush" ->
+      let* phase = int "phase" in
+      Ok (Sched_flush { phase })
+  | "presend" ->
+      let* phase = int "phase" and* block = int "block" and* dst = int "dst"
+      and* write = write () in
+      Ok (Presend { phase; block; dst; write })
+  | "drop" ->
+      let* src = int "src" and* dst = int "dst" and* kind = named "kind" msg_kind_of_string in
+      Ok (Msg_drop { src; dst; kind })
+  | "retry" ->
+      let* node = int "node" and* block = int "block" and* attempt = int "attempt" in
+      Ok (Retry { node; block; attempt })
+  | "presend_fallback" ->
+      let* phase = int "phase" and* block = int "block" and* node = int "node"
+      and* write = write () in
+      Ok (Presend_fallback { phase; block; node; write })
+  | "sched_corrupt" ->
+      let* phase = int "phase" and* block = int "block"
+      and* node =
+        Json.field "node" (function Json.Null -> Ok None | v -> Result.map Option.some (Json.int v)) j
+      in
+      Ok (Sched_corrupt { phase; block; node })
+  | _ -> Error (Printf.sprintf "unknown type %S" ty)
 
 let of_json line =
-  let err what = Error (Printf.sprintf "bad trace line (%s): %s" what line) in
-  let int key k = match int_field line key with Some v -> k v | None -> err key in
-  let str key k = match string_field line key with Some v -> k v | None -> err key in
-  let write k =
-    match string_field line "kind" with
-    | Some "read" -> k false
-    | Some "write" -> k true
-    | _ -> err "kind"
-  in
-  let msg_kind k =
-    match Option.bind (string_field line "kind") msg_kind_of_string with
-    | Some v -> k v
-    | None -> err "kind"
-  in
-  let tag key k =
-    match Option.bind (string_field line key) Tag.of_string with
-    | Some v -> k v
-    | None -> err key
-  in
-  match string_field line "type" with
-  | None -> err "type"
-  | Some ty -> (
-      match ty with
-      | "init" ->
-          int "nodes" (fun nodes ->
-              int "block_bytes" (fun block_bytes -> Ok (Init { nodes; block_bytes })))
-      | "alloc" ->
-          int "first_block" (fun first_block ->
-              int "blocks" (fun blocks -> int "home" (fun home -> Ok (Alloc { first_block; blocks; home }))))
-      | "fault" ->
-          int "node" (fun node ->
-              int "block" (fun block -> write (fun write -> Ok (Fault { node; block; write }))))
-      | "access" ->
-          int "node" (fun node ->
-              int "addr" (fun addr ->
-                  write (fun write ->
-                      match bool_field line "faulted" with
-                      | Some faulted -> Ok (Access { node; addr; write; faulted })
-                      | None -> err "faulted")))
-      | "msg" ->
-          int "src" (fun src ->
-              int "dst" (fun dst ->
-                  int "bytes" (fun bytes ->
-                      msg_kind (fun kind -> Ok (Msg { src; dst; bytes; kind })))))
-      | "tag" ->
-          int "node" (fun node ->
-              int "block" (fun block ->
-                  tag "before" (fun before ->
-                      tag "after" (fun after -> Ok (Tag_change { node; block; before; after })))))
-      | "barrier" -> str "bucket" (fun bucket -> Ok (Barrier { bucket }))
-      | "phase_begin" -> int "phase" (fun phase -> Ok (Phase_begin { phase }))
-      | "phase_end" -> int "phase" (fun phase -> Ok (Phase_end { phase }))
-      | "sched_record" ->
-          int "phase" (fun phase ->
-              int "block" (fun block ->
-                  int "node" (fun node ->
-                      write (fun write -> Ok (Sched_record { phase; block; node; write })))))
-      | "sched_conflict" ->
-          int "phase" (fun phase -> int "block" (fun block -> Ok (Sched_conflict { phase; block })))
-      | "sched_flush" -> int "phase" (fun phase -> Ok (Sched_flush { phase }))
-      | "presend" ->
-          int "phase" (fun phase ->
-              int "block" (fun block ->
-                  int "dst" (fun dst -> write (fun write -> Ok (Presend { phase; block; dst; write })))))
-      | "drop" ->
-          int "src" (fun src ->
-              int "dst" (fun dst -> msg_kind (fun kind -> Ok (Msg_drop { src; dst; kind }))))
-      | "retry" ->
-          int "node" (fun node ->
-              int "block" (fun block ->
-                  int "attempt" (fun attempt -> Ok (Retry { node; block; attempt }))))
-      | "presend_fallback" ->
-          int "phase" (fun phase ->
-              int "block" (fun block ->
-                  int "node" (fun node ->
-                      write (fun write -> Ok (Presend_fallback { phase; block; node; write })))))
-      | "sched_corrupt" ->
-          int "phase" (fun phase ->
-              int "block" (fun block ->
-                  match raw_field line "node" with
-                  | Some "null" -> Ok (Sched_corrupt { phase; block; node = None })
-                  | Some s -> (
-                      match int_of_string_opt s with
-                      | Some n -> Ok (Sched_corrupt { phase; block; node = Some n })
-                      | None -> err "node")
-                  | None -> err "node"))
-      | _ -> err "unknown type")
+  Result.map_error
+    (fun what -> Printf.sprintf "bad trace line (%s): %s" what line)
+    (Result.bind (Json.parse line) decode)
 
 let global_sink : (event -> unit) option ref = ref None
 let set_global s = global_sink := s

@@ -74,10 +74,12 @@ val msg_kind_of_string : string -> msg_kind option
 (** Inverse of {!msg_kind_name}; [None] on unknown names. *)
 
 val of_json : string -> (event, string) result
-(** Parse one JSONL trace line back into its event (inverse of {!to_json}
-    over this module's own fixed format — not a general JSON parser).  The
-    trace-replay oracle ({!Ccdsm_check.Replay}) uses this to feed recorded
-    traces through the sanitizer.  Errors name the missing/bad field. *)
+(** Parse one JSONL trace line back into its event (inverse of {!to_json}),
+    through {!Ccdsm_util.Json}: the line must be one strict JSON object, so
+    truncated lines, trailing content and duplicate keys are errors; extra
+    keys are ignored.  The trace-replay oracle ({!Ccdsm_check.Replay}) uses
+    this to feed recorded traces through the sanitizer.  Errors name the
+    missing/bad field. *)
 
 val pp : Format.formatter -> event -> unit
 (** Human-readable one-liner (used in sanitizer diagnostics). *)

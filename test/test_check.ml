@@ -198,6 +198,10 @@ let test_trace_json_errors () =
       {|{"type":"unknown_event"}|};
       {|{"type":"msg","src":0}|};
       {|{"type":"tag","node":0,"block":1,"before":"Bogus","after":"Invalid"}|};
+      (* truncated, trailing garbage, duplicate key *)
+      {|{"type":"msg","src":0,"dst":1,"bytes":8,"kind":"data"|};
+      {|{"type":"msg","src":0,"dst":1,"bytes":8,"kind":"data"} garbage|};
+      {|{"type":"msg","src":0,"src":2,"dst":1,"bytes":8,"kind":"data"}|};
     ]
 
 (* -- replay oracle ---------------------------------------------------------- *)

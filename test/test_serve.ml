@@ -94,7 +94,7 @@ let test_fnv_vectors () =
 (* -- Job specs ------------------------------------------------------------- *)
 
 let test_job_parse_defaults () =
-  match Job.parse {|{"app":"water","protocol":"stache"}|} with
+  (match Job.parse {|{"app":"water","protocol":"stache"}|} with
   | Error msg -> Alcotest.fail msg
   | Ok { id; spec } ->
       check Alcotest.bool "no id" true (id = None);
@@ -103,7 +103,19 @@ let test_job_parse_defaults () =
       check Alcotest.int "block default" 32 spec.Job.block_bytes;
       check Alcotest.int "step_jobs default" 1 spec.Job.step_jobs;
       check Alcotest.bool "no faults" true (spec.Job.faults = None);
-      check Alcotest.bool "scaled" true (spec.Job.scale = `Scaled)
+      check Alcotest.bool "scaled" true (spec.Job.scale = `Scaled));
+  (* A \u escape in the id parses, and the echoed id is a JSON literal that
+     parses again to the same string; an integral float is an integer. *)
+  match Job.parse {|{"app":"water","protocol":"stache","id":"a\u0001b","nodes":8.0}|} with
+  | Error msg -> Alcotest.fail msg
+  | Ok { id = None; _ } -> Alcotest.fail "id lost"
+  | Ok { id = Some lit; spec } -> (
+      check Alcotest.int "8.0 is 8" 8 spec.Job.nodes;
+      check Alcotest.bool "echo decodes" true
+        (Ccdsm_util.Json.parse lit = Ok (Ccdsm_util.Json.String "a\001b"));
+      match Job.parse (Printf.sprintf {|{"app":"water","protocol":"stache","id":%s}|} lit) with
+      | Ok r -> check Alcotest.(option string) "echo parses again" (Some lit) r.id
+      | Error msg -> Alcotest.fail msg)
 
 let test_job_canonical_stable () =
   (* Key order, whitespace, id and app case must not change the content
@@ -357,10 +369,13 @@ let test_serve_structured_errors () =
             "this is not json";
             {|{"app":"tiny","protocol":"dragon","id":7}|};
             {|{"app":"absent","protocol":"stache"}|};
+            (* valid, but its id pads the line past the 64 KiB cap *)
+            Printf.sprintf {|{"app":"tiny","protocol":"stache","nodes":4,"id":"%s"}|}
+              (String.make 65536 'x');
             spec_line;
           ]
       with
-      | [ bad_syntax; bad_proto; bad_app; good ] ->
+      | [ bad_syntax; bad_proto; bad_app; too_long; good ] ->
           check Alcotest.bool "syntax error record" true
             (contains bad_syntax "\"status\":\"error\"");
           (* Unknown names come back as per-job records listing the
@@ -368,8 +383,10 @@ let test_serve_structured_errors () =
           check Alcotest.bool "protocol error lists names" true (contains bad_proto "predictive");
           check Alcotest.bool "protocol error echoes id" true (contains bad_proto "\"id\":7");
           check Alcotest.bool "app error lists apps" true (contains bad_app "tiny");
+          check Alcotest.bool "over-long line is an error record" true
+            (contains too_long "\"status\":\"error\"" && contains too_long "65536");
           check Alcotest.bool "daemon still serves" true (contains good "\"status\":\"ok\"")
-      | _ -> Alcotest.fail "four responses expected")
+      | _ -> Alcotest.fail "five responses expected")
 
 let test_serve_timeout () =
   (* timeout 0: the deadline has always passed by the time a worker picks

@@ -147,7 +147,24 @@ let test_unit_jsonl_roundtrip () =
   let t = tiny_timeline () in
   roundtrip_or_fail t;
   Alcotest.(check bool) "summary renders" true
-    (contains (Timeline.summary t) "p0/synch")
+    (contains (Timeline.summary t) "p0/synch");
+  (* Names holding JSON-special bytes: a comma in a kind name, a tab in a
+     span name. *)
+  let odd = Timeline.create ~nodes:1 ~buckets:[| "compute" |] ~kinds:[| "a,b"; "c" |] in
+  ignore (Timeline.span odd ~track:0 ~cat:"msg" ~name:"x\ty" ~t0:0.0 ~dur:1.0 ());
+  roundtrip_or_fail odd;
+  (match Timeline.of_jsonl (Timeline.to_jsonl odd) with
+  | Ok t2 ->
+      check Alcotest.(array string) "kind names" [| "a,b"; "c" |] (Timeline.kind_names t2);
+      check Alcotest.(list string) "span name" [ "x\ty" ]
+        (List.map (fun (s : Timeline.span) -> s.Timeline.name) (Timeline.spans t2))
+  | Error e -> Alcotest.fail e);
+  (* The committed golden (repro timeline --app jacobi -o) reloads and
+     re-renders byte for byte. *)
+  let golden = In_channel.with_open_bin "golden/jacobi.timeline.jsonl" In_channel.input_all in
+  match Timeline.of_jsonl golden with
+  | Ok t -> check Alcotest.string "golden re-renders" golden (Timeline.to_jsonl t)
+  | Error e -> Alcotest.fail e
 
 let test_load_errors () =
   (match Timeline.load "no-such-timeline.jsonl" with
