@@ -8,6 +8,7 @@ module Engine = Ccdsm_proto.Engine
 module Directory = Ccdsm_proto.Directory
 module Bulk = Ccdsm_proto.Bulk
 module Coherence = Ccdsm_proto.Coherence
+module Cost = Ccdsm_proto.Cost
 
 module Obs = Ccdsm_obs.Obs
 
@@ -32,10 +33,8 @@ type t = {
          phase: the node believes it holds the block, the simulator knows it
          does not, and the next access falls back to a demand miss. *)
   mutable current : int option;
-  per_block_us : float;
   coalesce : bool;
   conflict_action : [ `Ignore | `First_stable ];
-  record_us : float;
   st : stats;
   run_len_hist : Obs.Histogram.t option;
       (* bulk-coalescing run lengths, observed as each presend queue is
@@ -76,7 +75,7 @@ let record t ~node b ~write =
         if Machine.traced t.machine then
           Machine.emit t.machine (Trace.Presend_fallback { phase = p; block = b; node; write })
       end;
-      Machine.charge t.machine ~node Machine.Remote_wait t.record_us;
+      Machine.charge t.machine ~node Machine.Remote_wait Cost.record_us;
       let s = schedule_for t p in
       let conflicts_before = Schedule.conflicts s in
       let hits_before = Schedule.conflict_hits s in
@@ -93,280 +92,108 @@ let record t ~node b ~write =
 
 (* -- presend ------------------------------------------------------------- *)
 
-(* Flush the per-destination presend queues.  With coalescing on, each
-   (source, destination) pair exchanges one gather message: runs of
-   neighbouring blocks share an 8-byte address header, so contiguity still
-   pays.  With coalescing off (ablation), every block travels alone.  Keys
-   are flushed in globally sorted order, so the same queue contents produce
-   the same messages and charges whether the queues were built by one
-   sequential scan or merged from per-shard plans. *)
-let flush_presend t ~recall ~inval ~data ~grant_only =
+(* Send the flush messages [Cost] derives from the queues, each charged to
+   the home that waits for it, then the closing barrier.  The queues are
+   flushed in globally sorted key order, so the same contents produce the
+   same messages and charges whether one scan or several shard scans built
+   them. *)
+let flush_presend t (q : Cost.queues) =
   let m = t.machine in
-  let net = Machine.net m in
-  let ctrl = net.Network.ctrl_bytes in
-  let send ~from_ ~dst ~kind ~bytes =
-    Machine.count_msg m ~node:from_ ~dst ~kind ~bytes ();
-    Machine.charge m ~node:from_ Machine.Presend (Network.msg_cost net ~bytes);
-    t.st.presend_msgs <- t.st.presend_msgs + 1
-  in
-  let charge_home h cost = Machine.charge m ~node:h Machine.Presend cost in
-  (* (bytes, block-count) descriptors of the messages carrying a block
-     list: one gather message when coalescing, one per block otherwise. *)
-  let block_list_msgs blocks =
-    let runs = Bulk.runs blocks in
-    (match t.run_len_hist with
-    | Some h -> List.iter (fun (_, len) -> Obs.Histogram.observe h (float_of_int len)) runs
-    | None -> ());
-    let nblocks = List.fold_left (fun acc (_, len) -> acc + len) 0 runs in
-    if t.coalesce then
-      [ (ctrl + (nblocks * Machine.block_bytes m) + (8 * List.length runs), nblocks) ]
-    else
-      List.concat_map
-        (fun (_, len) -> List.init len (fun _ -> (ctrl + Machine.block_bytes m, 1)))
-        runs
-  in
-  let sorted_keys q = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) q []) in
-  (* Recalls: request from home, bulk data back from the old owner; the
-     home stalls until the data is back, so it pays the round trip. *)
-  List.iter
-    (fun (o, h) ->
-      let blocks = !(Hashtbl.find recall (o, h)) in
-      Machine.count_msg m ~node:h ~dst:o ~kind:Trace.Recall ~bytes:ctrl ();
-      charge_home h (Network.msg_cost net ~bytes:ctrl);
-      List.iter
-        (fun (bytes, blocks) ->
-          ignore blocks;
-          Machine.count_msg m ~node:o ~dst:h ~kind:Trace.Data ~bytes ();
-          charge_home h (Network.msg_cost net ~bytes);
-          t.st.presend_msgs <- t.st.presend_msgs + 2;
-          t.st.presend_bytes <- t.st.presend_bytes + bytes)
-        (block_list_msgs blocks))
-    (sorted_keys recall);
-  (* Invalidation notices: one batched notice per victim plus one ack. *)
-  List.iter
-    (fun (h, r) ->
-      let k = !(Hashtbl.find inval (h, r)) in
-      let bytes = ctrl + (4 * k) in
-      send ~from_:h ~dst:r ~kind:Trace.Inval ~bytes;
-      Machine.count_msg m ~node:r ~dst:h ~kind:Trace.Ack ~bytes:ctrl ();
-      charge_home h (Network.msg_cost net ~bytes:ctrl);
-      t.st.presend_msgs <- t.st.presend_msgs + 1)
-    (sorted_keys inval);
-  (* Data grants. *)
-  List.iter
-    (fun (h, dest) ->
-      let blocks = !(Hashtbl.find data (h, dest)) in
-      let extra =
-        match Hashtbl.find_opt grant_only (h, dest) with
-        | Some r ->
-            Hashtbl.remove grant_only (h, dest);
-            4 * !r
-        | None -> 0
+  (match t.run_len_hist with
+  | Some hist ->
+      let observe _ blocks =
+        List.iter
+          (fun (_, len) -> Obs.Histogram.observe hist (float_of_int len))
+          (Bulk.runs !blocks)
       in
-      List.iteri
-        (fun i (bytes, blocks) ->
-          let bytes = if i = 0 then bytes + extra else bytes in
-          send ~from_:h ~dst:dest ~kind:Trace.Data ~bytes;
-          t.st.presend_blocks <- t.st.presend_blocks + blocks;
-          t.st.presend_bytes <- t.st.presend_bytes + bytes)
-        (block_list_msgs blocks))
-    (sorted_keys data);
-  (* Pure permission upgrades with no data riding along. *)
+      Hashtbl.iter observe q.Cost.recall;
+      Hashtbl.iter observe q.Cost.data
+  | None -> ());
   List.iter
-    (fun (h, dest) ->
-      let k = !(Hashtbl.find grant_only (h, dest)) in
-      send ~from_:h ~dst:dest ~kind:Trace.Grant ~bytes:(ctrl + (4 * k)))
-    (sorted_keys grant_only);
+    (fun (g : Cost.msg) ->
+      Machine.count_msg m ~node:g.src ~dst:g.dst ~kind:g.kind ~bytes:g.bytes ();
+      Machine.charge m ~node:g.payer Machine.Presend g.us;
+      t.st.presend_msgs <- t.st.presend_msgs + 1;
+      t.st.presend_blocks <- t.st.presend_blocks + g.grants;
+      if g.kind = Trace.Data then t.st.presend_bytes <- t.st.presend_bytes + g.bytes)
+    (Cost.flush t.eng.Engine.cost ~coalesce:t.coalesce q);
   (* "the protocol enforces a global barrier synchronization to ensure
      that all protocol cache block states are stable" (section 3.4). *)
   Machine.barrier m ~bucket:Machine.Presend
 
-let push q key b =
-  match Hashtbl.find_opt q key with
-  | Some l -> l := b :: !l
-  | None -> Hashtbl.add q key (ref [ b ])
-
-let bump q key =
-  match Hashtbl.find_opt q key with Some r -> incr r | None -> Hashtbl.add q key (ref 1)
-
-(* -- event-sharded presend (the parallel step loop) ----------------------- *)
-
-(* One shard's slice of a presend scan.  The planning domain applies the
-   shard-exclusive effects directly — tags and directory entries of the
-   shard's blocks, Presend-bucket charges at the shard's home nodes — and
-   defers everything whose target is not confined to the shard: per-node
-   invalidation/downgrade counters (a reader being invalidated can live on
-   any node), the phase's presended set, and the protocol stats.  Every
-   deferred effect is a commutative integer add or a set insert, so folding
-   the plans in after the join reproduces the sequential totals exactly. *)
-type shard_plan = {
-  sp_recall : (int * int, Machine.block list ref) Hashtbl.t;
-  sp_inval : (int * int, int ref) Hashtbl.t;
-  sp_data : (int * int, Machine.block list ref) Hashtbl.t;
-  sp_grant : (int * int, int ref) Hashtbl.t;
-  mutable sp_invalidated : int list;  (* victim nodes, reverse scan order *)
-  mutable sp_downgraded : int list;
-  mutable sp_presended : (int * Machine.block) list;
-  mutable sp_redundant : int;
-  mutable sp_grants_r : int;
-  mutable sp_grants_w : int;
+(* What one scan leaves for later: the flush queues, the protocol stats,
+   and — for a shard scan, which may not touch them while other shards run
+   — the effects whose target is not confined to the scanned blocks' home
+   shard: per-node invalidation/downgrade counters (a victim can live on
+   any node) and the phase's presended set.  Each is a commutative integer
+   add or a set insert, so folding several shard plans in after a parallel
+   scan reproduces the sequential totals exactly. *)
+type plan = {
+  q : Cost.queues;
+  deferred : bool;
+  mutable invalidated : int list;  (* victim nodes, reverse scan order *)
+  mutable downgraded : int list;
+  mutable granted : (int * Machine.block) list;
+  mutable redundant : int;
+  mutable grants_r : int;
+  mutable grants_w : int;
 }
 
-(* The fault-free, untraced, unmetered scan body (the parallel path is gated
-   on exactly those conditions), restricted to blocks of one shard.  Queue
-   keys all contain the block's home node, so the per-shard queues are
-   disjoint by construction and merge without collision. *)
-let plan_shard t sched shard =
+let note_downgrade t p node =
+  if p.deferred then p.downgraded <- node :: p.downgraded
+  else Machine.note_downgrade t.machine ~node
+
+let note_invalidation t p node =
+  if p.deferred then p.invalidated <- node :: p.invalidated
+  else Machine.note_invalidation t.machine ~node
+
+let note_granted t p kb =
+  if p.deferred then p.granted <- kb :: p.granted else Hashtbl.replace t.presended kb ()
+
+(* The presend scan over the schedule's blocks, or only over those homed
+   in [shard], in ascending block order.  Tags, directory entries and the
+   Presend charges at the blocks' homes are applied in place; everything
+   else goes into the returned plan.
+
+   Fault injection interposes on the per-(block, destination) grants — the
+   presend's semantic unit — and the verdict is drawn BEFORE any tag or
+   directory mutation.  A dropped grant therefore simply never happens:
+   machine state stays trivially consistent and the receiver's next access
+   degrades to a demand miss (recorded in [t.lost], counted as a presend
+   fallback when it fires).  The lost message still travelled and is
+   counted; only remote destinations draw a verdict, since a grant to the
+   home node moves no message.  The bulk recall/invalidation legs stay
+   reliable — the injector models lossy delivery of the speculative grants,
+   which is where the predictive protocol's graceful degradation lives.
+   Verdicts come from a sequential PRNG and trace events have an order, so
+   [presend] runs shard scans in parallel only when neither is live. *)
+let scan t ~phase sched ~shard =
   let m = t.machine in
   let dir = t.eng.Engine.dir in
+  let cost = t.eng.Engine.cost in
+  let keep =
+    match shard with None -> fun _ -> true | Some s -> fun b -> Machine.shard_of_block m b = s
+  in
   let p =
     {
-      sp_recall = Hashtbl.create 16;
-      sp_inval = Hashtbl.create 16;
-      sp_data = Hashtbl.create 16;
-      sp_grant = Hashtbl.create 16;
-      sp_invalidated = [];
-      sp_downgraded = [];
-      sp_presended = [];
-      sp_redundant = 0;
-      sp_grants_r = 0;
-      sp_grants_w = 0;
+      q = Cost.queues ();
+      deferred = Option.is_some shard;
+      invalidated = [];
+      downgraded = [];
+      granted = [];
+      redundant = 0;
+      grants_r = 0;
+      grants_w = 0;
     }
   in
-  Schedule.iter_sorted sched (fun b mark ->
-      if Machine.shard_of_block m b = shard then begin
-        let h = Machine.home m b in
-        Machine.charge m ~node:h Machine.Presend t.per_block_us;
-        let mark =
-          match (mark, t.conflict_action) with
-          | Schedule.Conflict _, `Ignore -> mark
-          | Schedule.Conflict (Schedule.Pre_readers r), `First_stable -> Schedule.Readers r
-          | Schedule.Conflict (Schedule.Pre_writer w), `First_stable -> Schedule.Writer w
-          | _ -> mark
-        in
-        match mark with
-        | Schedule.Conflict _ -> ()
-        | Schedule.Readers rs ->
-            (match Directory.get dir b with
-            | Directory.Exclusive o ->
-                p.sp_downgraded <- o :: p.sp_downgraded;
-                Machine.set_tag m ~node:o b Tag.Read_only;
-                Directory.set dir b (Directory.Shared (Nodeset.singleton o));
-                if o <> h then push p.sp_recall (o, h) b
-            | Directory.Shared _ -> ());
-            let cur =
-              match Directory.get dir b with
-              | Directory.Shared s -> s
-              | Directory.Exclusive _ -> assert false
-            in
-            let missing = Nodeset.diff rs cur in
-            if Nodeset.is_empty missing then p.sp_redundant <- p.sp_redundant + 1
-            else begin
-              Nodeset.iter
-                (fun r ->
-                  Machine.set_tag m ~node:r b Tag.Read_only;
-                  p.sp_presended <- (r, b) :: p.sp_presended;
-                  p.sp_grants_r <- p.sp_grants_r + 1;
-                  if r <> h then push p.sp_data (h, r) b)
-                missing;
-              Directory.set dir b (Directory.Shared (Nodeset.union cur rs))
-            end
-        | Schedule.Writer w ->
-            if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
-              p.sp_redundant <- p.sp_redundant + 1
-            else begin
-              let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
-              (match Directory.get dir b with
-              | Directory.Exclusive o ->
-                  p.sp_invalidated <- o :: p.sp_invalidated;
-                  Machine.set_tag m ~node:o b Tag.Invalid;
-                  if o <> h then push p.sp_recall (o, h) b
-              | Directory.Shared readers ->
-                  Nodeset.iter
-                    (fun r ->
-                      p.sp_invalidated <- r :: p.sp_invalidated;
-                      Machine.set_tag m ~node:r b Tag.Invalid;
-                      if r <> h then bump p.sp_inval (h, r))
-                    (Nodeset.remove w readers));
-              Machine.set_tag m ~node:w b Tag.Read_write;
-              p.sp_presended <- (w, b) :: p.sp_presended;
-              p.sp_grants_w <- p.sp_grants_w + 1;
-              (if w <> h then
-                 if had_copy then bump p.sp_grant (h, w) else push p.sp_data (h, w) b);
-              Directory.set dir b (Directory.Exclusive w)
-            end
-      end);
-  p
-
-let presend_sharded t sched ~jobs =
-  let m = t.machine in
-  (* Force the schedule's sorted-key cache on this domain: the per-shard
-     scans then only read the schedule.  Pre-grow the directory store so the
-     per-shard planners mutate disjoint, pre-existing elements of it. *)
-  ignore (Schedule.sorted_keys sched);
-  Directory.reserve t.eng.Engine.dir;
-  let plans = Fanout.run ~jobs (Machine.num_shards m) (plan_shard t sched) in
-  let recall = Hashtbl.create 16 in
-  let inval = Hashtbl.create 16 in
-  let data = Hashtbl.create 16 in
-  let grant_only = Hashtbl.create 16 in
-  let merge_q dst src = Hashtbl.iter (fun k v -> Hashtbl.add dst k v) src in
-  Array.iter
-    (fun p ->
-      List.iter (fun node -> Machine.note_downgrade m ~node) (List.rev p.sp_downgraded);
-      List.iter (fun node -> Machine.note_invalidation m ~node) (List.rev p.sp_invalidated);
-      List.iter (fun kb -> Hashtbl.replace t.presended kb ()) (List.rev p.sp_presended);
-      t.st.presend_redundant <- t.st.presend_redundant + p.sp_redundant;
-      t.st.presend_grants_r <- t.st.presend_grants_r + p.sp_grants_r;
-      t.st.presend_grants_w <- t.st.presend_grants_w + p.sp_grants_w;
-      merge_q recall p.sp_recall;
-      merge_q inval p.sp_inval;
-      merge_q data p.sp_data;
-      merge_q grant_only p.sp_grant)
-    plans;
-  flush_presend t ~recall ~inval ~data ~grant_only
-
-(* The sequential scan: the original single-domain presend, and still the
-   only path that can inject faults, emit trace events or meter — the
-   event-sharded path above is gated off whenever any of those are live. *)
-let presend_seq t phase sched =
-  let m = t.machine in
-  let dir = t.eng.Engine.dir in
-  let net = Machine.net m in
-  let ctrl = net.Network.ctrl_bytes in
-  (* Per-destination queues, so every leg of the presend travels in bulk:
-     [recall] brings dirty copies back to their homes, [inval] carries
-     batched invalidation notices, [data] carries block grants, [grant]
-     carries permission-only upgrades. *)
-  let recall : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 16 in
-  let inval : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let data : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 16 in
-  let grant_only : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let downgrade node b =
-    Machine.note_downgrade m ~node;
-    Machine.set_tag m ~node b Tag.Read_only
-  in
-  let invalidate node b =
-    Machine.note_invalidation m ~node;
-    Machine.set_tag m ~node b Tag.Invalid
-  in
-  (* Fault injection interposes on the per-(block, destination) grants —
-     the presend's semantic unit — and the verdict is drawn BEFORE any
-     tag or directory mutation.  A dropped grant therefore simply never
-     happens: machine state stays trivially consistent and the receiver's
-     next access degrades to a demand miss (recorded in [t.lost], counted
-     as a presend fallback when it fires).  The lost message still
-     travelled and is counted; only remote destinations draw a verdict,
-     since a grant to the home node moves no message.  The bulk
-     recall/invalidation legs stay reliable — the injector models lossy
-     delivery of the speculative grants, which is where the predictive
-     protocol's graceful degradation lives. *)
   let inj = Machine.faults m in
-  let verdict_for ~dst ~h = match inj with Some f when dst <> h -> Faults.verdict f | _ -> Faults.Deliver in
+  let verdict_for ~dst ~h =
+    match inj with Some f when dst <> h -> Faults.verdict f | _ -> Faults.Deliver
+  in
   let drop_grant ~h ~dst ~kind ~bytes b =
     (match inj with Some f -> Faults.note_drop f | None -> assert false);
     Machine.count_msg m ~node:h ~dst ~kind ~bytes ();
-    Machine.charge m ~node:h Machine.Presend (Network.msg_cost net ~bytes);
+    Machine.charge m ~node:h Machine.Presend (Network.msg_cost (Machine.net m) ~bytes);
     t.st.presend_msgs <- t.st.presend_msgs + 1;
     t.st.presend_bytes <- t.st.presend_bytes + bytes;
     if Machine.traced m then Machine.emit m (Trace.Msg_drop { src = h; dst; kind });
@@ -385,111 +212,100 @@ let presend_seq t phase sched =
     | _ -> ()
   in
   Schedule.iter_sorted sched (fun b mark ->
-      let h = Machine.home m b in
-      Machine.charge m ~node:h Machine.Presend t.per_block_us;
-      (* Conflict handling: by default no action (the paper's
-         implementation); the First_stable extension anticipates the
-         stable state the block held before the conflict (section 3.4's
-         suggestion). *)
-      let mark =
-        match (mark, t.conflict_action) with
-        | Schedule.Conflict _, `Ignore -> mark
-        | Schedule.Conflict (Schedule.Pre_readers r), `First_stable -> Schedule.Readers r
-        | Schedule.Conflict (Schedule.Pre_writer w), `First_stable -> Schedule.Writer w
-        | _ -> mark
-      in
-      match mark with
-      | Schedule.Conflict _ -> ()
-      | Schedule.Readers rs ->
-          (* Bring the data home (downgrading any writer), then forward
-             readable copies to every marked reader lacking one. *)
-          (match Directory.get dir b with
-          | Directory.Exclusive o ->
-              downgrade o b;
-              Directory.set dir b (Directory.Shared (Nodeset.singleton o));
-              if o <> h then push recall (o, h) b
-          | Directory.Shared _ -> ());
-          let cur =
-            match Directory.get dir b with
-            | Directory.Shared s -> s
-            | Directory.Exclusive _ -> assert false
-          in
-          let missing = Nodeset.diff rs cur in
-          if Nodeset.is_empty missing then
-            t.st.presend_redundant <- t.st.presend_redundant + 1
-          else begin
-            let dropped = ref Nodeset.empty in
-            Nodeset.iter
-              (fun r ->
-                let bytes = ctrl + Machine.block_bytes m in
-                match verdict_for ~dst:r ~h with
-                | Faults.Drop ->
-                    dropped := Nodeset.add r !dropped;
-                    drop_grant ~h ~dst:r ~kind:Trace.Data ~bytes b
-                | v ->
-                    grant_noise ~h ~dst:r ~kind:Trace.Data ~bytes v;
-                    Machine.set_tag m ~node:r b Tag.Read_only;
-                    Hashtbl.replace t.presended (r, b) ();
-                    (* Always-on, mirroring the Presend trace event
-                       one-for-one so a trace-derived count agrees with
-                       this counter to the exact integer. *)
-                    t.st.presend_grants_r <- t.st.presend_grants_r + 1;
-                    if Machine.traced m then
-                      Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
-                    if r <> h then push data (h, r) b)
-              missing;
-            let granted =
-              if Nodeset.is_empty !dropped then rs else Nodeset.diff rs !dropped
+      if keep b then begin
+        let h = Machine.home m b in
+        Machine.charge m ~node:h Machine.Presend Cost.presend_block_us;
+        match Schedule.presend_mark t.conflict_action mark with
+        | Schedule.Conflict _ -> ()
+        | Schedule.Readers rs ->
+            (* Bring the data home (downgrading any writer), then forward
+               readable copies to every marked reader lacking one. *)
+            (match Directory.get dir b with
+            | Directory.Exclusive o ->
+                note_downgrade t p o;
+                Machine.set_tag m ~node:o b Tag.Read_only;
+                Directory.set dir b (Directory.Shared (Nodeset.singleton o));
+                if o <> h then Cost.push p.q.recall (o, h) b
+            | Directory.Shared _ -> ());
+            let cur =
+              match Directory.get dir b with
+              | Directory.Shared s -> s
+              | Directory.Exclusive _ -> assert false
             in
-            Directory.set dir b (Directory.Shared (Nodeset.union cur granted))
-          end
-      | Schedule.Writer w ->
-          if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
-            t.st.presend_redundant <- t.st.presend_redundant + 1
-          else begin
-            let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
-            let kind = if had_copy then Trace.Grant else Trace.Data in
-            let bytes = if had_copy then ctrl else ctrl + Machine.block_bytes m in
-            match verdict_for ~dst:w ~h with
-            | Faults.Drop ->
-                (* The write grant never arrives, so the whole block
-                   action is skipped — no invalidations, no directory
-                   change: the writer's demand miss does them later. *)
-                drop_grant ~h ~dst:w ~kind ~bytes b
-            | v ->
-                grant_noise ~h ~dst:w ~kind ~bytes v;
-                (match Directory.get dir b with
-                | Directory.Exclusive o ->
-                    invalidate o b;
-                    if o <> h then push recall (o, h) b
-                | Directory.Shared readers ->
-                    Nodeset.iter
-                      (fun r ->
-                        invalidate r b;
-                        if r <> h then bump inval (h, r))
-                      (Nodeset.remove w readers));
-                Machine.set_tag m ~node:w b Tag.Read_write;
-                Hashtbl.replace t.presended (w, b) ();
-                t.st.presend_grants_w <- t.st.presend_grants_w + 1;
-                if Machine.traced m then
-                  Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
-                if w <> h then
-                  if had_copy then bump grant_only (h, w) else push data (h, w) b;
-                Directory.set dir b (Directory.Exclusive w)
-          end);
-  flush_presend t ~recall ~inval ~data ~grant_only
+            let missing = Nodeset.diff rs cur in
+            if Nodeset.is_empty missing then p.redundant <- p.redundant + 1
+            else begin
+              let dropped = ref Nodeset.empty in
+              let bytes = Cost.grant_bytes cost ~with_data:true in
+              Nodeset.iter
+                (fun r ->
+                  match verdict_for ~dst:r ~h with
+                  | Faults.Drop ->
+                      dropped := Nodeset.add r !dropped;
+                      drop_grant ~h ~dst:r ~kind:Trace.Data ~bytes b
+                  | v ->
+                      grant_noise ~h ~dst:r ~kind:Trace.Data ~bytes v;
+                      Machine.set_tag m ~node:r b Tag.Read_only;
+                      note_granted t p (r, b);
+                      (* Mirrors the Presend trace event one-for-one, so a
+                         trace-derived count agrees with this counter to
+                         the exact integer. *)
+                      p.grants_r <- p.grants_r + 1;
+                      if Machine.traced m then
+                        Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
+                      if r <> h then Cost.push p.q.data (h, r) b)
+                missing;
+              let granted = if Nodeset.is_empty !dropped then rs else Nodeset.diff rs !dropped in
+              Directory.set dir b (Directory.Shared (Nodeset.union cur granted))
+            end
+        | Schedule.Writer w ->
+            if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
+              p.redundant <- p.redundant + 1
+            else begin
+              let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
+              let kind = if had_copy then Trace.Grant else Trace.Data in
+              let bytes = Cost.grant_bytes cost ~with_data:(not had_copy) in
+              match verdict_for ~dst:w ~h with
+              | Faults.Drop ->
+                  (* The write grant never arrives, so the whole block
+                     action is skipped — no invalidations, no directory
+                     change: the writer's demand miss does them later. *)
+                  drop_grant ~h ~dst:w ~kind ~bytes b
+              | v ->
+                  grant_noise ~h ~dst:w ~kind ~bytes v;
+                  (match Directory.get dir b with
+                  | Directory.Exclusive o ->
+                      note_invalidation t p o;
+                      Machine.set_tag m ~node:o b Tag.Invalid;
+                      if o <> h then Cost.push p.q.recall (o, h) b
+                  | Directory.Shared readers ->
+                      Nodeset.iter
+                        (fun r ->
+                          note_invalidation t p r;
+                          Machine.set_tag m ~node:r b Tag.Invalid;
+                          if r <> h then Cost.bump p.q.inval (h, r))
+                        (Nodeset.remove w readers));
+                  Machine.set_tag m ~node:w b Tag.Read_write;
+                  note_granted t p (w, b);
+                  p.grants_w <- p.grants_w + 1;
+                  if Machine.traced m then
+                    Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
+                  (if w <> h then
+                     if had_copy then Cost.bump p.q.grant (h, w) else Cost.push p.q.data (h, w) b);
+                  Directory.set dir b (Directory.Exclusive w)
+            end
+      end);
+  p
 
-(* Presend dispatch.  The event-sharded path splits the scan across domains
-   by directory shard; it is taken only when the machine asked for step
-   parallelism AND the run is fault-free (fault verdicts draw from a
-   sequential PRNG), untraced (event order is part of the trace contract)
-   and unmetered (instrument bumps are not thread-safe).  Everything it
-   mutates concurrently is shard-exclusive — tags and directory entries are
-   block-local and a block's shard is a pure function of its home; Presend
-   charges land on home nodes of the owning shard — and every cross-shard
-   effect is deferred and folded in sequentially, so output is byte-identical
-   to [presend_seq] at any job count (pinned by the jobs-equivalence qcheck
-   property). *)
+(* Presend dispatch.  With step parallelism asked for and the run
+   fault-free, untraced and unmetered (instrument bumps are not
+   thread-safe), the scan splits across domains by directory shard.
+   Everything a shard scan mutates concurrently is shard-exclusive — tags
+   and directory entries are block-local and a block's shard is a pure
+   function of its home; Presend charges land on home nodes of the owning
+   shard — and the plans are folded in sequentially in shard order, so the
+   output is byte-identical to the one-domain scan at any job count (pinned
+   by the jobs-equivalence qcheck property). *)
 let presend t phase =
   match Hashtbl.find_opt t.schedules phase with
   | None -> ()
@@ -497,13 +313,43 @@ let presend t phase =
   | Some sched ->
       let m = t.machine in
       let jobs = min (Machine.step_jobs m) (Machine.num_shards m) in
-      if
-        jobs > 1
-        && (not (Machine.traced m))
-        && (not (Machine.metered m))
-        && Option.is_none (Machine.faults m)
-      then presend_sharded t sched ~jobs
-      else presend_seq t phase sched
+      let plans =
+        if
+          jobs > 1
+          && (not (Machine.traced m))
+          && (not (Machine.metered m))
+          && Option.is_none (Machine.faults m)
+        then begin
+          (* Force the schedule's sorted-key cache on this domain, so the
+             shard scans only read the schedule, and pre-grow the directory
+             store, so they mutate disjoint, pre-existing elements of it. *)
+          ignore (Schedule.sorted_keys sched);
+          Directory.reserve t.eng.Engine.dir;
+          Fanout.run ~jobs (Machine.num_shards m) (fun shard ->
+              scan t ~phase sched ~shard:(Some shard))
+        end
+        else [| scan t ~phase sched ~shard:None |]
+      in
+      let q = plans.(0).q in
+      Array.iteri
+        (fun i p ->
+          List.iter (fun node -> Machine.note_downgrade m ~node) (List.rev p.downgraded);
+          List.iter (fun node -> Machine.note_invalidation m ~node) (List.rev p.invalidated);
+          List.iter (fun kb -> Hashtbl.replace t.presended kb ()) (List.rev p.granted);
+          t.st.presend_redundant <- t.st.presend_redundant + p.redundant;
+          t.st.presend_grants_r <- t.st.presend_grants_r + p.grants_r;
+          t.st.presend_grants_w <- t.st.presend_grants_w + p.grants_w;
+          (* Queue keys contain the block's home, so shard queues are
+             disjoint and merge without collision. *)
+          if i > 0 then begin
+            let merge dst src = Hashtbl.iter (Hashtbl.add dst) src in
+            merge q.recall p.q.recall;
+            merge q.inval p.q.inval;
+            merge q.data p.q.data;
+            merge q.grant p.q.grant
+          end)
+        plans;
+      flush_presend t q
 
 (* -- schedule corruption (fault injection) -------------------------------- *)
 
@@ -543,8 +389,7 @@ let corrupt_schedule t phase =
 
 (* -- construction -------------------------------------------------------- *)
 
-let create ?(per_block_us = 1.0) ?(record_us = 2.0) ?(coalesce = true)
-    ?(conflict_action = `Ignore) machine =
+let create ?(coalesce = true) ?(conflict_action = `Ignore) machine =
   let eng = Engine.create machine in
   let t =
     {
@@ -554,8 +399,6 @@ let create ?(per_block_us = 1.0) ?(record_us = 2.0) ?(coalesce = true)
       presended = Hashtbl.create 256;
       lost = Hashtbl.create 32;
       current = None;
-      per_block_us;
-      record_us;
       coalesce;
       conflict_action;
       st =

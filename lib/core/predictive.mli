@@ -25,20 +25,12 @@ type Ccdsm_proto.Registry.handle += Handle of t
 (** The registry handle this module registers under the name ["predictive"];
     the runtime matches on it to drive schedule recording and presend. *)
 
-val create :
-  ?per_block_us:float ->
-  ?record_us:float ->
-  ?coalesce:bool ->
-  ?conflict_action:[ `Ignore | `First_stable ] ->
-  Machine.t ->
-  t
-(** Install the protocol on [machine].  [per_block_us] is the home node's
-    software cost to process one schedule entry during presend (default 1.0);
-    [record_us] is the added handler cost to record one fault into a schedule
-    (default 2.0) — the paper's "cost of building communication schedules in
-    augmented protocol handlers".  [coalesce] (default [true]) enables the
-    bulk-message coalescing of section 3.4; disabling it (one message per
-    block) exists for the ablation benchmarks. *)
+val create : ?coalesce:bool -> ?conflict_action:[ `Ignore | `First_stable ] -> Machine.t -> t
+(** Install the protocol on [machine].  The schedule-scan and recording
+    overheads and the flush messages are priced by {!Ccdsm_proto.Cost}.
+    [coalesce] (default [true]) enables the bulk-message coalescing of
+    section 3.4; disabling it (one message per block) exists for the
+    ablation benchmarks. *)
 
 val coherence : t -> Ccdsm_proto.Coherence.t
 
@@ -61,9 +53,11 @@ val lost_grants : t -> (int * int) list
 
 type stats = {
   mutable faults_recorded : int;  (** faults added to some schedule *)
-  mutable presend_msgs : int;  (** bulk messages sent by presend phases *)
+  mutable presend_msgs : int;  (** messages sent by presend phases *)
   mutable presend_blocks : int;  (** block grants transferred by presend *)
   mutable presend_bytes : int;
+      (** payload of the presend messages carrying block data (and of grants
+          lost in flight) *)
   mutable presend_redundant : int;  (** schedule entries already satisfied *)
   mutable presend_undone : int;
       (** presend grants that nevertheless faulted again within the same

@@ -6,6 +6,12 @@ type pre = Pre_readers of Nodeset.t | Pre_writer of int
 
 type mark = Readers of Nodeset.t | Writer of int | Conflict of pre
 
+let presend_mark action mark =
+  match (mark, action) with
+  | Conflict (Pre_readers r), `First_stable -> Readers r
+  | Conflict (Pre_writer w), `First_stable -> Writer w
+  | _ -> mark
+
 type t = {
   entries : (block, mark) Hashtbl.t;
   mutable conflicts : int;

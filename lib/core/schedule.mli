@@ -30,6 +30,12 @@ type mark =
           retained {!pre} makes possible (the predictive protocol's
           [First_stable] conflict action). *)
 
+val presend_mark : [ `Ignore | `First_stable ] -> mark -> mark
+(** The mark a presend acts on under a conflict action: [`Ignore] keeps a
+    Conflict, which gets no action (the paper's implementation);
+    [`First_stable] replaces it with the retained {!pre} mark.  Readers and
+    Writer marks come back unchanged. *)
+
 type t
 
 val create : unit -> t

@@ -2,7 +2,6 @@ open Ast
 module Runtime = Ccdsm_runtime.Runtime
 module Aggregate = Ccdsm_runtime.Aggregate
 module Distribution = Ccdsm_runtime.Distribution
-module Coherence = Ccdsm_proto.Coherence
 
 exception Runtime_error of string
 
@@ -247,7 +246,6 @@ let load rt compiled =
   (* Compile main: scalar statements and control flow become closures; calls
      and phase regions become explicit driver actions. *)
   let slots = { names = [] } in
-  let coh = Runtime.coherence rt in
   let rec cmain stmts =
     let parts = List.map cstmt stmts in
     fun env ctx -> List.iter (fun p -> p env ctx) parts
@@ -280,10 +278,7 @@ let load rt compiled =
     | Sphase (pid, body) ->
         let cb = cmain body in
         fun env ctx ->
-          let phase = Hashtbl.find env.phases pid in
-          coh.Coherence.phase_begin ~phase:(Runtime.phase_id phase);
-          cb env ctx;
-          coh.Coherence.phase_end ~phase:(Runtime.phase_id phase)
+          Runtime.phase_region env.rt (Hashtbl.find env.phases pid) (fun () -> cb env ctx)
   and compile_body_expr e =
     (* Reuse the body compiler for a bare expression via a synthetic local
        ("%cond" cannot clash with source identifiers). *)

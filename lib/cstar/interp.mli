@@ -6,8 +6,10 @@
     the parallel aggregate on the element's owning node; every aggregate
     access goes through {!Ccdsm_runtime.Aggregate}, i.e. through the machine's
     tag check and whatever coherence protocol the runtime was created with.
-    Phase regions placed by the compiler invoke the protocol's
-    [phase_begin]/[phase_end] hooks around their body. *)
+    Phase regions placed by the compiler run through
+    {!Ccdsm_runtime.Runtime.phase_region}, so their body is bracketed by the
+    protocol's [phase_begin]/[phase_end] hooks and, when a profiler is
+    attached, by its phase notifications. *)
 
 exception Runtime_error of string
 

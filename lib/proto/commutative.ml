@@ -83,12 +83,13 @@ let engine t = t.eng
 let merge_one t ~bucket ~payer b =
   let m = t.machine in
   let h = Machine.home m b in
-  let ctrl = Engine.ctrl_bytes t.eng and data = Engine.data_bytes t.eng in
+  let cost = t.eng.Engine.cost in
+  let ctrl = Cost.ctrl cost in
   let ws = t.writers.(b) in
   Nodeset.iter
     (fun w ->
       if w <> h then begin
-        let bytes = data + ctrl in
+        let bytes = Cost.run_bytes cost 1 in
         Engine.exchange t.eng ~bucket ~payer ~block:b
           [ (w, h, Trace.Update, bytes) ]
           ~cost:(Engine.msg_cost t.eng ~bytes);
@@ -100,7 +101,7 @@ let merge_one t ~bucket ~payer b =
   Nodeset.iter
     (fun r ->
       if r <> h then begin
-        let bytes = ctrl + 4 in
+        let bytes = Cost.notice_bytes cost 1 in
         Engine.exchange t.eng ~bucket ~payer ~block:b
           [ (h, r, Trace.Inval, bytes); (r, h, Trace.Ack, ctrl) ]
           ~cost:(Engine.msg_cost t.eng ~bytes +. Engine.msg_cost t.eng ~bytes:ctrl);
@@ -124,12 +125,8 @@ let on_read_fault t ~node b =
     merge_one t ~bucket:Machine.Remote_wait ~payer:node b;
     t.read_merges <- t.read_merges + 1
   end;
-  if node <> h then begin
-    let ctrl = Engine.ctrl_bytes t.eng and data = Engine.data_bytes t.eng in
-    Engine.exchange t.eng ~bucket:Machine.Remote_wait ~payer:node ~block:b
-      [ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ]
-      ~cost:(Engine.msg_cost t.eng ~bytes:ctrl +. Engine.msg_cost t.eng ~bytes:data)
-  end;
+  if node <> h then
+    Engine.fetch t.eng ~bucket:Machine.Remote_wait ~payer:node ~node ~owner:node b Cost.Reply;
   (* Re-arm the producers: a new consumer appeared, so their next write must
      fault again and mark the block for the next merge. *)
   Nodeset.iter (fun w -> if w <> node then to_ro t ~node:w b) t.writers.(b);
@@ -142,19 +139,11 @@ let on_write_fault t ~node b =
   Machine.charge m ~node Machine.Remote_wait (Engine.fault_cost t.eng);
   let had_copy = Tag.permits_read (Machine.tag m ~node b) in
   if node <> h then begin
-    let ctrl = Engine.ctrl_bytes t.eng and data = Engine.data_bytes t.eng in
-    if had_copy then begin
-      (* permission-only privatization: no payload moves, the node keeps
-         accumulating into its own copy *)
-      Engine.exchange t.eng ~bucket:Machine.Remote_wait ~payer:node ~block:b
-        [ (node, h, Trace.Req, ctrl); (h, node, Trace.Grant, ctrl) ]
-        ~cost:(2.0 *. Engine.msg_cost t.eng ~bytes:ctrl);
-      t.upgrades <- t.upgrades + 1
-    end
-    else
-      Engine.exchange t.eng ~bucket:Machine.Remote_wait ~payer:node ~block:b
-        [ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ]
-        ~cost:(Engine.msg_cost t.eng ~bytes:ctrl +. Engine.msg_cost t.eng ~bytes:data)
+    (* A reader privatizes with permission only: no payload moves, the node
+       keeps accumulating into its own copy. *)
+    if had_copy then t.upgrades <- t.upgrades + 1;
+    Engine.fetch t.eng ~bucket:Machine.Remote_wait ~payer:node ~node ~owner:node b
+      (if had_copy then Cost.Upgrade else Cost.Reply)
   end;
   t.privatizations <- t.privatizations + 1;
   to_rw t ~node b;
@@ -169,26 +158,22 @@ let merge_phase t =
   let m = t.machine in
   let blocks = dirty_blocks t in
   if blocks <> [] then begin
-    let ctrl = Engine.ctrl_bytes t.eng in
-    let push tbl key v =
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r := v :: !r
-      | None -> Hashtbl.add tbl key (ref [ v ])
-    in
+    let cost = t.eng.Engine.cost in
+    let ctrl = Cost.ctrl cost in
     let pushes : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 32 in
     let invals : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 32 in
     List.iter
       (fun b ->
         let h = Machine.home m b in
-        Nodeset.iter (fun w -> if w <> h then push pushes (w, h) b) t.writers.(b);
-        Nodeset.iter (fun r -> if r <> h then push invals (h, r) b) t.readers.(b))
+        Nodeset.iter (fun w -> if w <> h then Cost.push pushes (w, h) b) t.writers.(b);
+        Nodeset.iter (fun r -> if r <> h then Cost.push invals (h, r) b) t.readers.(b))
       blocks;
     let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
     List.iter
       (fun ((w, h) as key) ->
         List.iter
           (fun (first, len) ->
-            let bytes = (len * Machine.block_bytes m) + ctrl in
+            let bytes = Cost.run_bytes cost len in
             Engine.exchange t.eng ~bucket:Machine.Presend ~payer:w ~block:first
               [ (w, h, Trace.Update, bytes) ]
               ~cost:(Engine.msg_cost t.eng ~bytes);
@@ -199,7 +184,7 @@ let merge_phase t =
     List.iter
       (fun ((h, r) as key) ->
         let bl = !(Hashtbl.find invals key) in
-        let bytes = ctrl + (4 * List.length bl) in
+        let bytes = Cost.notice_bytes cost (List.length bl) in
         Engine.exchange t.eng ~bucket:Machine.Presend ~payer:h ~block:(List.hd bl)
           [ (h, r, Trace.Inval, bytes); (r, h, Trace.Ack, ctrl) ]
           ~cost:(Engine.msg_cost t.eng ~bytes +. Engine.msg_cost t.eng ~bytes:ctrl);

@@ -8,7 +8,7 @@ module Obs = Ccdsm_obs.Obs
 
 type metrics = { exchanges : Obs.Counter.t; attempts : Obs.Counter.t }
 
-type t = { machine : Machine.t; dir : Directory.t; mx : metrics option }
+type t = { machine : Machine.t; dir : Directory.t; cost : Cost.t; mx : metrics option }
 
 let create machine =
   let mx =
@@ -21,14 +21,9 @@ let create machine =
             attempts = Obs.Registry.counter reg "ccdsm_engine_exchange_attempts_total";
           }
   in
-  { machine; dir = Directory.create machine; mx }
+  let cost = Cost.make (Machine.net machine) ~block_bytes:(Machine.block_bytes machine) in
+  { machine; dir = Directory.create machine; cost; mx }
 
-(* Serialization cost when one node must emit several invalidations: the
-   sends overlap, so each extra message adds only its injection overhead. *)
-let serialization_factor = 0.25
-
-let ctrl_bytes t = (Machine.net t.machine).Network.ctrl_bytes
-let data_bytes t = Machine.block_bytes t.machine
 let msg_cost t ~bytes = Network.msg_cost (Machine.net t.machine) ~bytes
 let fault_cost t = (Machine.net t.machine).Network.fault_us
 
@@ -93,47 +88,35 @@ let downgrade t ~node b =
   Machine.note_downgrade t.machine ~node;
   Machine.set_tag t.machine ~node b Tag.Read_only
 
+let fetch t ~bucket ~payer ~node ~owner b f =
+  let home = Machine.home t.machine b in
+  exchange t ~bucket ~payer ~block:b
+    (Cost.fetch_legs t.cost f ~node ~home ~owner)
+    ~cost:(Cost.fetch_us t.cost f)
+
+(* A miss on a block Exclusive at [o]: the copy comes from the owner through
+   the home (two legs when either is the home, else the 4-message chain). *)
+let owner_fetch t ~bucket ~node ~owner:o b =
+  let home = Machine.home t.machine b in
+  fetch t ~bucket ~payer:node ~node ~owner:o b (Cost.owner_fetch ~node ~home ~owner:o)
+
 (* -- demand read -------------------------------------------------------- *)
 
 let demand_read t ~bucket ~node b =
   let m = t.machine in
-  let h = Machine.home m b in
-  let ctrl = ctrl_bytes t and data = data_bytes t in
   Machine.charge m ~node bucket (fault_cost t);
   match Directory.get t.dir b with
   | Shared readers ->
       assert (not (Nodeset.mem node readers));
       (* Home memory is current in Shared state. *)
-      if node <> h then
-        exchange t ~bucket ~payer:node ~block:b
-          [ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ]
-          ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data);
+      if node <> Machine.home m b then fetch t ~bucket ~payer:node ~node ~owner:node b Cost.Reply;
       Machine.set_tag m ~node b Tag.Read_only;
       Directory.set t.dir b (Shared (Nodeset.add node readers))
   | Exclusive o ->
       assert (o <> node);
       (* The writer's copy returns to the home memory and the writer stays on
          as a reader (standard Stache downgrade-on-read). *)
-      (if o = h then
-         (* Writer is the home node: simple request/response. *)
-         exchange t ~bucket ~payer:node ~block:b
-           [ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ]
-           ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data)
-       else if node = h then
-         (* Home itself faulted: recall the copy from the writer. *)
-         exchange t ~bucket ~payer:node ~block:b
-           [ (h, o, Trace.Recall, ctrl); (o, h, Trace.Data, data) ]
-           ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data)
-       else
-         (* The 4-message producer/consumer chain of section 3.2. *)
-         exchange t ~bucket ~payer:node ~block:b
-           [
-             (node, h, Trace.Req, ctrl);
-             (h, o, Trace.Recall, ctrl);
-             (o, h, Trace.Data, data);
-             (h, node, Trace.Data, data);
-           ]
-           ~cost:(2.0 *. msg_cost t ~bytes:ctrl +. 2.0 *. msg_cost t ~bytes:data));
+      owner_fetch t ~bucket ~node ~owner:o b;
       downgrade t ~node:o b;
       Machine.set_tag m ~node b Tag.Read_only;
       Directory.set t.dir b (Shared (Nodeset.add node (Nodeset.singleton o)))
@@ -143,48 +126,30 @@ let demand_read t ~bucket ~node b =
 let invalidate_holders t ~except ~payer ~bucket b =
   let m = t.machine in
   let h = Machine.home m b in
-  let ctrl = ctrl_bytes t and data = data_bytes t in
   (match Directory.get t.dir b with
   | Exclusive o when o = except -> ()
   | Exclusive o ->
       (* Recall the dirty copy into home memory, then drop it. *)
-      if o <> h then
-        exchange t ~bucket ~payer ~block:b
-          [ (h, o, Trace.Recall, ctrl); (o, h, Trace.Data, data) ]
-          ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data);
+      if o <> h then fetch t ~bucket ~payer ~node:h ~owner:o b Cost.Recall;
       invalidate t ~node:o b
   | Shared readers ->
       let others = Nodeset.remove except readers in
       let remote = Nodeset.remove h others in
       let k = Nodeset.cardinal remote in
       if k > 0 then begin
-        Nodeset.iter
-          (fun r ->
-            Machine.count_msg m ~node:h ~dst:r ~kind:Trace.Inval ~bytes:ctrl ();
-            Machine.count_msg m ~node:r ~dst:h ~kind:Trace.Ack ~bytes:ctrl ())
-          remote;
-        (* Invalidations overlap: one round trip plus injection overhead for
-           each additional message. *)
-        Machine.charge m ~node:payer bucket
-          (2.0 *. msg_cost t ~bytes:ctrl
-          +. serialization_factor
-             *. (Machine.net m).Network.msg_startup_us
-             *. float_of_int (k - 1))
+        let count src dst kind bytes = Machine.count_msg m ~node:src ~dst ~kind ~bytes () in
+        Nodeset.iter (fun r -> Cost.iter_inval_legs t.cost ~home:h ~victim:r count) remote;
+        Machine.charge m ~node:payer bucket (Cost.inval_us t.cost k)
       end;
       Nodeset.iter (fun r -> invalidate t ~node:r b) others);
   Directory.set t.dir b (Exclusive except)
 
 let recall_to_home t ~payer ~bucket b =
-  let m = t.machine in
-  let h = Machine.home m b in
   match Directory.get t.dir b with
   | Shared _ -> ()
   | Exclusive o ->
-      let ctrl = ctrl_bytes t and data = data_bytes t in
-      if o <> h then
-        exchange t ~bucket ~payer ~block:b
-          [ (h, o, Trace.Recall, ctrl); (o, h, Trace.Data, data) ]
-          ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data);
+      let h = Machine.home t.machine b in
+      if o <> h then fetch t ~bucket ~payer ~node:h ~owner:o b Cost.Recall;
       downgrade t ~node:o b;
       Directory.set t.dir b (Shared (Nodeset.singleton o))
 
@@ -192,44 +157,20 @@ let recall_to_home t ~payer ~bucket b =
 
 let demand_write t ~bucket ~node b =
   let m = t.machine in
-  let h = Machine.home m b in
-  let ctrl = ctrl_bytes t and data = data_bytes t in
   Machine.charge m ~node bucket (fault_cost t);
   match Directory.get t.dir b with
   | Exclusive o ->
       assert (o <> node);
-      (if o = h then
-         exchange t ~bucket ~payer:node ~block:b
-           [ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ]
-           ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data)
-       else if node = h then
-         exchange t ~bucket ~payer:node ~block:b
-           [ (h, o, Trace.Recall, ctrl); (o, h, Trace.Data, data) ]
-           ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:data)
-       else
-         exchange t ~bucket ~payer:node ~block:b
-           [
-             (node, h, Trace.Req, ctrl);
-             (h, o, Trace.Recall, ctrl);
-             (o, h, Trace.Data, data);
-             (h, node, Trace.Data, data);
-           ]
-           ~cost:(2.0 *. msg_cost t ~bytes:ctrl +. 2.0 *. msg_cost t ~bytes:data));
+      owner_fetch t ~bucket ~node ~owner:o b;
       invalidate t ~node:o b;
       Machine.set_tag m ~node b Tag.Read_write;
       Directory.set t.dir b (Exclusive node)
   | Shared readers ->
-      let had_copy = Nodeset.mem node readers in
-      (* Request/upgrade leg to the home node. *)
-      if node <> h then begin
-        let reply = if had_copy then ctrl else data in
-        exchange t ~bucket ~payer:node ~block:b
-          [
-            (node, h, Trace.Req, ctrl);
-            (h, node, (if had_copy then Trace.Grant else Trace.Data), reply);
-          ]
-          ~cost:(msg_cost t ~bytes:ctrl +. msg_cost t ~bytes:reply)
-      end;
+      (* Request/upgrade leg to the home node: a reader only needs the
+         write permission, anyone else the data too. *)
+      if node <> Machine.home m b then
+        fetch t ~bucket ~payer:node ~node ~owner:node b
+          (if Nodeset.mem node readers then Cost.Upgrade else Cost.Reply);
       invalidate_holders t ~except:node ~payer:node ~bucket b;
       Machine.set_tag m ~node b Tag.Read_write;
       Directory.set t.dir b (Exclusive node)

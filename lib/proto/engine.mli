@@ -11,7 +11,8 @@
     full message chain cost is charged to that node's [bucket] (Remote_wait
     on the demand path; the predictive protocol charges its own presend
     bucket when it reuses these primitives).  Message counts are attributed
-    to the node that sends each message. *)
+    to the node that sends each message.  Every message shape and price
+    comes from {!Cost}, the table the analytical model prices from too. *)
 
 module Machine = Ccdsm_tempest.Machine
 
@@ -20,19 +21,14 @@ type metrics = {
   attempts : Ccdsm_obs.Obs.Counter.t;  (** transmissions incl. retries *)
 }
 
-type t = { machine : Machine.t; dir : Directory.t; mx : metrics option }
-(** [mx] is resolved from the machine's metrics registry at {!create} time
-    ([None] when the machine is unmetered). *)
+type t = { machine : Machine.t; dir : Directory.t; cost : Cost.t; mx : metrics option }
+(** [cost] prices the machine's network at its block size; [mx] is resolved
+    from the machine's metrics registry at {!create} time ([None] when the
+    machine is unmetered). *)
 
 val create : Machine.t -> t
 (** Build an engine (with a fresh directory) over [machine].  Does not
     install any handlers. *)
-
-val ctrl_bytes : t -> int
-(** The network's control-message size. *)
-
-val data_bytes : t -> int
-(** The machine's block size (a data message's payload). *)
 
 val msg_cost : t -> bytes:int -> float
 (** Latency of one message of the given size on the machine's network. *)
@@ -57,6 +53,19 @@ val exchange :
     delayed leg costs a spurious timeout.  Protocols composed outside this
     module (migratory handoffs, commutative merges) route their transactions
     through this so fault injection exercises their recovery paths too. *)
+
+val fetch :
+  t ->
+  bucket:Machine.bucket ->
+  payer:int ->
+  node:int ->
+  owner:int ->
+  Machine.block ->
+  Cost.fetch ->
+  unit
+(** One demand fetch of the given shape as a reliable {!exchange}: the legs
+    of {!Cost.fetch_legs} between [node], the block's home and [owner],
+    priced by {!Cost.fetch_us} and charged to [payer]. *)
 
 val invalidate : t -> node:int -> Machine.block -> unit
 (** Drop [node]'s copy, counting the invalidation. *)

@@ -1,7 +1,6 @@
 open Ccdsm_util
 module Machine = Ccdsm_tempest.Machine
 module Tag = Ccdsm_tempest.Tag
-module Trace = Ccdsm_tempest.Trace
 
 type t = {
   eng : Engine.t;
@@ -48,21 +47,15 @@ let last_writer t b =
 let handoff t ~node ~owner:o b =
   let eng = t.eng in
   let m = t.machine in
-  let h = Machine.home m b in
-  let ctrl = Engine.ctrl_bytes eng and data = Engine.data_bytes eng in
-  let c bytes = Engine.msg_cost eng ~bytes in
-  let legs, cost =
-    if o = h then
-      ([ (node, h, Trace.Req, ctrl); (h, node, Trace.Data, data) ], c ctrl +. c data)
-    else if node = h then
-      ([ (h, o, Trace.Recall, ctrl); (o, h, Trace.Data, data) ], c ctrl +. c data)
-    else
-      (* Home forwards the request; the data takes the direct path from the
-         old owner to the new one (no home round trip for the payload). *)
-      ( [ (node, h, Trace.Req, ctrl); (h, o, Trace.Recall, ctrl); (o, node, Trace.Data, data) ],
-        (2.0 *. c ctrl) +. c data )
+  (* Where Stache would run the 4-message chain, the home forwards the
+     request and the data takes the direct path from the old owner to the
+     new one (no home round trip for the payload). *)
+  let f =
+    match Cost.owner_fetch ~node ~home:(Machine.home m b) ~owner:o with
+    | Cost.Chain -> Cost.Forward
+    | f -> f
   in
-  Engine.exchange eng ~bucket:Machine.Remote_wait ~payer:node ~block:b legs ~cost;
+  Engine.fetch eng ~bucket:Machine.Remote_wait ~payer:node ~node ~owner:o b f;
   Engine.invalidate eng ~node:o b;
   Machine.set_tag m ~node b Tag.Read_write;
   Directory.set eng.Engine.dir b (Directory.Exclusive node);

@@ -6,6 +6,7 @@ module Trace = Ccdsm_tempest.Trace
 
 type t = {
   machine : Machine.t;
+  cost : Cost.t;
   mutable owner : int array;  (* per block; -1 = not yet seen (home owns) *)
   mutable subs : Nodeset.t array;  (* nodes holding update-fed ReadOnly copies *)
   dirty : (Machine.block, unit) Hashtbl.t;
@@ -31,8 +32,14 @@ let owner t b =
   if t.owner.(b) < 0 then Machine.home t.machine b else t.owner.(b)
 
 let fault_cost t = (Machine.net t.machine).Network.fault_us
-let msg_cost t ~bytes = Network.msg_cost (Machine.net t.machine) ~bytes
-let ctrl_bytes t = (Machine.net t.machine).Network.ctrl_bytes
+
+(* Fetch the block from its owner: a request, the data back (the owner
+   plays the home's part in [Cost]'s reply shape). *)
+let fetch_from_owner t ~node o =
+  List.iter
+    (fun (src, dst, kind, bytes) -> Machine.count_msg t.machine ~node:src ~dst ~kind ~bytes ())
+    (Cost.fetch_legs t.cost Cost.Reply ~node ~home:o ~owner:o);
+  Machine.charge t.machine ~node Machine.Remote_wait (Cost.fetch_us t.cost Cost.Reply)
 
 let on_read_fault t ~node b =
   ensure t b;
@@ -42,10 +49,7 @@ let on_read_fault t ~node b =
   if o <> node then begin
     (* Demand miss: request the block from its owner (first touch only —
        afterwards updates keep the copy fresh). *)
-    Machine.count_msg m ~node ~dst:o ~kind:Trace.Req ~bytes:(ctrl_bytes t) ();
-    Machine.count_msg m ~node:o ~dst:node ~kind:Trace.Data ~bytes:(Machine.block_bytes m) ();
-    Machine.charge m ~node Machine.Remote_wait
-      (msg_cost t ~bytes:(ctrl_bytes t) +. msg_cost t ~bytes:(Machine.block_bytes m))
+    fetch_from_owner t ~node o
   end;
   Machine.set_tag m ~node b Tag.Read_only;
   if o <> node then begin
@@ -65,10 +69,7 @@ let on_write_fault t ~node b =
   if o <> node then begin
     (* Ownership migration: fetch the block and the write privilege. *)
     t.migrations <- t.migrations + 1;
-    Machine.count_msg m ~node ~dst:o ~kind:Trace.Req ~bytes:(ctrl_bytes t) ();
-    Machine.count_msg m ~node:o ~dst:node ~kind:Trace.Data ~bytes:(Machine.block_bytes m) ();
-    Machine.charge m ~node Machine.Remote_wait
-      (msg_cost t ~bytes:(ctrl_bytes t) +. msg_cost t ~bytes:(Machine.block_bytes m));
+    fetch_from_owner t ~node o;
     (* The previous owner keeps a consumer copy. *)
     Machine.set_tag m ~node:o b Tag.Read_only;
     t.subs.(b) <- Nodeset.add o t.subs.(b);
@@ -86,15 +87,7 @@ let push_updates t =
   Hashtbl.iter
     (fun b () ->
       let o = owner t b in
-      Nodeset.iter
-        (fun s ->
-          if s <> o then begin
-            let key = (o, s) in
-            match Hashtbl.find_opt pairs key with
-            | Some l -> l := b :: !l
-            | None -> Hashtbl.add pairs key (ref [ b ])
-          end)
-        t.subs.(b))
+      Nodeset.iter (fun s -> if s <> o then Cost.push pairs (o, s) b) t.subs.(b))
     t.dirty;
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) pairs [] in
   List.iter
@@ -102,9 +95,9 @@ let push_updates t =
       let blocks = !(Hashtbl.find pairs key) in
       List.iter
         (fun (_, len) ->
-          let bytes = (len * Machine.block_bytes m) + (Machine.net m).Network.ctrl_bytes in
+          let bytes = Cost.run_bytes t.cost len in
           Machine.count_msg m ~node:o ~dst:s ~kind:Trace.Update ~bytes ();
-          Machine.charge m ~node:o Machine.Presend (msg_cost t ~bytes);
+          Machine.charge m ~node:o Machine.Presend (Network.msg_cost (Machine.net m) ~bytes);
           t.update_msgs <- t.update_msgs + 1;
           t.update_blocks <- t.update_blocks + len;
           t.update_bytes <- t.update_bytes + bytes)
@@ -124,6 +117,7 @@ let create machine =
   let t =
     {
       machine;
+      cost = Cost.make (Machine.net machine) ~block_bytes:(Machine.block_bytes machine);
       owner = Array.make 128 (-1);
       subs = Array.make 128 Nodeset.empty;
       dirty = Hashtbl.create 256;

@@ -2,7 +2,7 @@ open Ccdsm_util
 module Network = Ccdsm_tempest.Network
 module Machine = Ccdsm_tempest.Machine
 module Schedule = Ccdsm_core.Schedule
-module Bulk = Ccdsm_proto.Bulk
+module Cost = Ccdsm_proto.Cost
 
 (* Time buckets, in the [Machine.all_buckets] order profile bucket arrays
    use.  The model prices only the two protocol buckets: Compute is
@@ -19,10 +19,6 @@ let bucket_index bk =
 
 let wait_idx = bucket_index Machine.Remote_wait
 let pre_idx = bucket_index Machine.Presend
-
-(* Mirror of [Engine.serialization_factor]: overlapped invalidations cost
-   one round trip plus injection overhead per extra message. *)
-let serialization_factor = 0.25
 
 type protocol =
   | Stache
@@ -299,8 +295,8 @@ let build_layout (f : flat) ~wpb_t =
 type dirent = Excl of int | Shared of Nodeset.t
 
 (* Raw per-segment replay results: protocol traffic, plus the priced time
-   that traffic charges to the two protocol buckets (mirroring the engine's
-   and the predictive protocol's charge formulas). *)
+   that traffic charges to the two protocol buckets (priced from the same
+   [Cost] table as the engine and the predictive protocol). *)
 type seg_raw = {
   mutable r_rf : int;
   mutable r_wf : int;
@@ -322,8 +318,8 @@ let log2_exact n =
   done;
   !s
 
-let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes ~protocol =
-  let ctrl = net.Network.ctrl_bytes in
+let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
+  let cost = Cost.make net ~block_bytes in
   let wpb_t = block_bytes / 8 in
   let wpb_shift = log2_exact wpb_t in
   let l = build_layout f ~wpb_t in
@@ -331,7 +327,6 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
   let nent = f.f_nentries in
   let nnodes = p.Profile.nodes in
   let nb = l.l_nblocks in
-  let bb = block_bytes in
   let tags = Bytes.make (max 1 (nnodes * nb)) tag_inv in
   let tag node b = Bytes.unsafe_get tags ((node * nb) + b) in
   let set_tag node b v = Bytes.unsafe_set tags ((node * nb) + b) v in
@@ -351,32 +346,24 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
     cur.r_msgs <- cur.r_msgs + n;
     cur.r_bytes <- cur.r_bytes + by
   in
-  (* Pricing mirrors of [Engine]'s cost expressions (demand traffic lands in
-     Remote_wait) and the predictive protocol's (presend traffic lands in
-     Presend). *)
+  (* The engine's transitions at block granularity, priced from [Cost]:
+     demand traffic lands in Remote_wait, presend traffic in Presend. *)
   let wait c = cur.r_wait <- cur.r_wait +. c in
   let pre c = cur.r_pre <- cur.r_pre +. c in
-  let mc by = Network.msg_cost net ~bytes:by in
+  let fetch c =
+    count (Cost.fetch_msgs c) (Cost.fetch_bytes cost c);
+    wait (Cost.fetch_us cost c)
+  in
   let demand_read node b =
     wait net.Network.fault_us;
     let h = l.l_homes.(b) in
     match dir.(b) with
     | Shared readers ->
-        if node <> h then begin
-          count 2 (ctrl + bb);
-          wait (mc ctrl +. mc bb)
-        end;
+        if node <> h then fetch Cost.Reply;
         set_tag node b tag_ro;
         dir.(b) <- Shared (Nodeset.add node readers)
     | Excl o ->
-        if o = h || node = h then begin
-          count 2 (ctrl + bb);
-          wait (mc ctrl +. mc bb)
-        end
-        else begin
-          count 4 (2 * (ctrl + bb));
-          wait ((2.0 *. mc ctrl) +. (2.0 *. mc bb))
-        end;
+        fetch (Cost.owner_fetch ~node ~home:h ~owner:o);
         set_tag o b tag_ro;
         set_tag node b tag_ro;
         dir.(b) <- Shared (Nodeset.add node (Nodeset.singleton o))
@@ -386,39 +373,23 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
     let h = l.l_homes.(b) in
     match dir.(b) with
     | Excl o ->
-        if o = h || node = h then begin
-          count 2 (ctrl + bb);
-          wait (mc ctrl +. mc bb)
-        end
-        else begin
-          count 4 (2 * (ctrl + bb));
-          wait ((2.0 *. mc ctrl) +. (2.0 *. mc bb))
-        end;
+        fetch (Cost.owner_fetch ~node ~home:h ~owner:o);
         set_tag o b tag_inv;
         set_tag node b tag_rw;
         dir.(b) <- Excl node
     | Shared readers ->
-        let had_copy = Nodeset.mem node readers in
-        if node <> h then begin
-          count 2 (ctrl + if had_copy then ctrl else bb);
-          wait (mc ctrl +. mc (if had_copy then ctrl else bb))
-        end;
+        if node <> h then fetch (if Nodeset.mem node readers then Cost.Upgrade else Cost.Reply);
         let others = Nodeset.remove node readers in
-        let remote = Nodeset.remove h others in
-        let k = Nodeset.cardinal remote in
+        let k = Nodeset.cardinal (Nodeset.remove h others) in
         if k > 0 then begin
-          count (2 * k) (2 * k * ctrl);
-          (* Overlapped invalidations: one round trip plus injection
-             overhead per extra message (Engine.invalidate_holders). *)
-          wait
-            ((2.0 *. mc ctrl)
-            +. (serialization_factor *. net.Network.msg_startup_us *. float_of_int (k - 1)))
+          count (Cost.inval_msgs k) (Cost.inval_bytes cost k);
+          wait (Cost.inval_us cost k)
         end;
         Nodeset.iter (fun r -> set_tag r b tag_inv) others;
         set_tag node b tag_rw;
         dir.(b) <- Excl node
   in
-  (* Mirror of Predictive.presend_seq (fault-free) + flush_presend. *)
+  (* The predictive protocol's presend scan (fault-free) and flush. *)
   let presend phase =
     match (protocol, Hashtbl.find_opt schedules phase) with
     | Stache, _ | _, None -> ()
@@ -432,36 +403,18 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
            home nodes (the home pays for every leg it waits on). *)
         let flushq = Array.make nnodes 0.0 in
         let at_home h c = flushq.(h) <- flushq.(h) +. c in
-        let recall : (int * int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-        let inval : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-        let data : (int * int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-        let grant_only : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-        let push q key b =
-          match Hashtbl.find_opt q key with
-          | Some r -> r := b :: !r
-          | None -> Hashtbl.add q key (ref [ b ])
-        in
-        let bump q key =
-          match Hashtbl.find_opt q key with Some r -> incr r | None -> Hashtbl.add q key (ref 1)
-        in
+        let q = Cost.queues () in
         Schedule.iter_sorted sched (fun b mark ->
-            at_home l.l_homes.(b) per_block_us;
             let h = l.l_homes.(b) in
-            let mark =
-              match (mark, conflict_action) with
-              | Schedule.Conflict _, `Ignore -> mark
-              | Schedule.Conflict (Schedule.Pre_readers r), `First_stable -> Schedule.Readers r
-              | Schedule.Conflict (Schedule.Pre_writer w), `First_stable -> Schedule.Writer w
-              | _ -> mark
-            in
-            match mark with
+            at_home h Cost.presend_block_us;
+            match Schedule.presend_mark conflict_action mark with
             | Schedule.Conflict _ -> ()
             | Schedule.Readers rs ->
                 (match dir.(b) with
                 | Excl o ->
                     set_tag o b tag_ro;
                     dir.(b) <- Shared (Nodeset.singleton o);
-                    if o <> h then push recall (o, h) b
+                    if o <> h then Cost.push q.recall (o, h) b
                 | Shared _ -> ());
                 let cur_set = match dir.(b) with Shared s -> s | Excl _ -> assert false in
                 let missing = Nodeset.diff rs cur_set in
@@ -470,7 +423,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
                     (fun r ->
                       set_tag r b tag_ro;
                       cur.r_gr <- cur.r_gr + 1;
-                      if r <> h then push data (h, r) b)
+                      if r <> h then Cost.push q.data (h, r) b)
                     missing;
                   dir.(b) <- Shared (Nodeset.union cur_set rs)
                 end
@@ -480,70 +433,25 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
                   (match dir.(b) with
                   | Excl o ->
                       set_tag o b tag_inv;
-                      if o <> h then push recall (o, h) b
+                      if o <> h then Cost.push q.recall (o, h) b
                   | Shared readers ->
                       Nodeset.iter
                         (fun r ->
                           set_tag r b tag_inv;
-                          if r <> h then bump inval (h, r))
+                          if r <> h then Cost.bump q.inval (h, r))
                         (Nodeset.remove w readers));
                   set_tag w b tag_rw;
                   cur.r_gr <- cur.r_gr + 1;
                   (if w <> h then
-                     if had_copy then bump grant_only (h, w) else push data (h, w) b);
+                     if had_copy then Cost.bump q.grant (h, w) else Cost.push q.data (h, w) b);
                   dir.(b) <- Excl w
                 end);
-        (* flush_presend's message accounting *)
-        let block_list_msgs blocks =
-          let runs = Bulk.runs blocks in
-          let nblocks = List.fold_left (fun acc (_, len) -> acc + len) 0 runs in
-          if coalesce then [ ctrl + (nblocks * bb) + (8 * List.length runs) ]
-          else List.concat_map (fun (_, len) -> List.init len (fun _ -> ctrl + bb)) runs
-        in
-        let sorted_keys q = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) q []) in
         List.iter
-          (fun ((_, h) as key) ->
-            let blocks = !(Hashtbl.find recall key) in
-            count 1 ctrl;
-            at_home h (mc ctrl);
-            List.iter
-              (fun by ->
-                count 1 by;
-                at_home h (mc by))
-              (block_list_msgs blocks))
-          (sorted_keys recall);
-        List.iter
-          (fun ((h, _) as key) ->
-            let k = !(Hashtbl.find inval key) in
-            count 1 (ctrl + (4 * k));
-            at_home h (mc (ctrl + (4 * k)));
-            count 1 ctrl;
-            at_home h (mc ctrl))
-          (sorted_keys inval);
-        List.iter
-          (fun ((h, _) as key) ->
-            let blocks = !(Hashtbl.find data key) in
-            let extra =
-              match Hashtbl.find_opt grant_only key with
-              | Some r ->
-                  Hashtbl.remove grant_only key;
-                  4 * !r
-              | None -> 0
-            in
-            List.iteri
-              (fun i by ->
-                let by = if i = 0 then by + extra else by in
-                count 1 by;
-                at_home h (mc by))
-              (block_list_msgs blocks))
-          (sorted_keys data);
-        List.iter
-          (fun ((h, _) as key) ->
-            let k = !(Hashtbl.find grant_only key) in
-            count 1 (ctrl + (4 * k));
-            at_home h (mc (ctrl + (4 * k))))
-          (sorted_keys grant_only);
-        (* The closing barrier of flush_presend. *)
+          (fun (g : Cost.msg) ->
+            count 1 g.bytes;
+            at_home g.payer g.us)
+          (Cost.flush cost ~coalesce q);
+        (* The closing barrier of the flush. *)
         let mx = Array.fold_left max 0.0 flushq in
         pre (float_of_int nnodes *. (mx +. Network.barrier_cost net ~nodes:nnodes))
   in
@@ -591,7 +499,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
                 demand_write node b;
                 match sched with
                 | Some sc ->
-                    wait record_us;
+                    wait Cost.record_us;
                     Schedule.record_write sc b ~writer:node
                 | None -> ()
               end
@@ -601,7 +509,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
               demand_read node b;
               match sched with
               | Some sc ->
-                  wait record_us;
+                  wait Cost.record_us;
                   Schedule.record_read sc b ~reader:node
               | None -> ()
             end
@@ -634,7 +542,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
                    demand_write node b;
                    match sched with
                    | Some sc ->
-                    wait record_us;
+                    wait Cost.record_us;
                     Schedule.record_write sc b ~writer:node
                    | None -> ()
                  end
@@ -644,7 +552,7 @@ let replay (p : Profile.t) (f : flat) ~net ~per_block_us ~record_us ~block_bytes
                  demand_read node b;
                  match sched with
                  | Some sc ->
-                  wait record_us;
+                  wait Cost.record_us;
                   Schedule.record_read sc b ~reader:node
                  | None -> ()
                end);
@@ -695,14 +603,12 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
 type predictor = {
   pr_profile : Profile.t;
   pr_net : Network.t;
-  pr_per_block_us : float;
-  pr_record_us : float;
   pr_protocol : protocol;
   pr_flat : flat;
   pr_base : seg_raw array;  (* baseline replay at the profiled geometry *)
 }
 
-let prepare ?(per_block_us = 1.0) ?(record_us = 2.0) (p : Profile.t) ~net ~protocol =
+let prepare (p : Profile.t) ~net ~protocol =
   (* The baseline replay at the profiled geometry under the profiled
      protocol anchors the per-segment residual: actual traffic minus
      replayed protocol traffic = background (reductions) that the model
@@ -725,8 +631,7 @@ let prepare ?(per_block_us = 1.0) ?(record_us = 2.0) (p : Profile.t) ~net ~proto
       match
         let flat = flatten p in
         let base =
-          replay p flat ~net ~per_block_us ~record_us ~block_bytes:p.Profile.block_bytes
-            ~protocol:base_protocol
+          replay p flat ~net ~block_bytes:p.Profile.block_bytes ~protocol:base_protocol
         in
         (flat, base)
       with
@@ -736,8 +641,6 @@ let prepare ?(per_block_us = 1.0) ?(record_us = 2.0) (p : Profile.t) ~net ~proto
             {
               pr_profile = p;
               pr_net = net;
-              pr_per_block_us = per_block_us;
-              pr_record_us = record_us;
               pr_protocol = protocol;
               pr_flat = flat;
               pr_base = base;
@@ -749,8 +652,7 @@ let eval ?(fudge_faults = 0) ?(fudge_wait_us = 0.0) pr ~block_bytes =
   else
     let p = pr.pr_profile in
     match
-      replay p pr.pr_flat ~net:pr.pr_net ~per_block_us:pr.pr_per_block_us
-        ~record_us:pr.pr_record_us ~block_bytes ~protocol:pr.pr_protocol
+      replay p pr.pr_flat ~net:pr.pr_net ~block_bytes ~protocol:pr.pr_protocol
     with
     | exception Err msg -> Error msg
     | target ->
@@ -810,11 +712,10 @@ let eval ?(fudge_faults = 0) ?(fudge_wait_us = 0.0) pr ~block_bytes =
               Array.fold_left ( +. ) 0.0 p_bucket_us /. float_of_int p.Profile.nodes;
           }
 
-let predict ?fudge_faults ?fudge_wait_us ?per_block_us ?record_us (p : Profile.t) ~net
-    ~block_bytes ~protocol =
+let predict ?fudge_faults ?fudge_wait_us (p : Profile.t) ~net ~block_bytes ~protocol =
   if block_bytes < 8 || not (is_pow2 block_bytes) then
     Error (Printf.sprintf "block size %d: must be a power of two >= 8" block_bytes)
   else
-    match prepare ?per_block_us ?record_us p ~net ~protocol with
+    match prepare p ~net ~protocol with
     | Error e -> Error e
     | Ok pr -> eval ?fudge_faults ?fudge_wait_us pr ~block_bytes

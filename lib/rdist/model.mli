@@ -1,8 +1,8 @@
 (** Analytical predictor: profile + block geometry -> per-phase behaviour.
 
-    The model replays a {!Profile.t} against a mirror of the simulator's
-    protocol state machines at an arbitrary block size, without running the
-    application:
+    The model replays a {!Profile.t} against its own copy of the
+    simulator's protocol transitions at an arbitrary block size, without
+    running the application:
 
     - {b Layout pass}: the profile's interleaved allocation stream is
       replayed through two allocators at once — the profiled geometry (to
@@ -12,11 +12,11 @@
       an exact address map from profiled words to target words plus the
       target block homes.
     - {b Replay pass}: each segment's first-touch events run through a
-      block-granular mirror of the MSI engine ([Engine.demand_read] /
-      [demand_write]) and, for the predictive protocol, of the schedule
-      recorder and presend scan ([Predictive]) — reusing the real
-      [Schedule] and [Bulk] modules, so message coalescing and conflict
-      handling are the simulator's own.
+      block-granular copy of the MSI engine's tag and directory
+      transitions ([Engine.demand_read] / [demand_write]) and, for the
+      predictive protocol, of the schedule recorder and presend scan
+      ([Predictive]) — reusing the real [Schedule], so conflict handling
+      is the simulator's own.
 
     Because within-phase access order is deterministic (node-major) and
     first-touch events are the only accesses that can change coherence
@@ -28,15 +28,29 @@
     invariant; it is carried over from the profile's actuals as a
     per-segment residual.
 
-    The replay also {e prices} the traffic it predicts, mirroring the
-    engine's charge formulas (fault overhead, per-leg message costs,
-    overlapped invalidations) into the Remote_wait bucket and the predictive
-    protocol's (schedule-scan, recording and flush costs) into Presend.
+    Every message the replay counts and every price it charges comes from
+    {!Ccdsm_proto.Cost}, the table the engine and the predictive protocol
+    charge from: demand fetches and overlapped invalidations into the
+    Remote_wait bucket, schedule-scan and recording costs and the presend
+    flush (the very message list [Cost.flush] gives the protocol) into
+    Presend.
     Predicted wall-clock bucket times are then
     [actual_base + (priced_target - priced_base)]: everything the pricing
     does not cover — compute, barrier skew, per-task overhead — rides over
     as the actual-minus-priced residual, and at the profiled geometry the
-    prediction degenerates to the profiled actuals bit-for-bit. *)
+    prediction degenerates to the profiled actuals bit-for-bit.
+
+    The transitions are a copy for speed: a replay through the real
+    [Engine]/[Predictive] on a machine laid out at the target geometry
+    gave the same per-segment counts on the scaled Adaptive, Barnes and
+    Water profiles at every block size from 8 B to 64 KiB, but took
+    1.4–2.1× as long per block size.  The copy is held to real runs segment by segment by the
+    [model segments = real runs] tests in test/test_rdist.ml (random C**
+    programs and jacobi, 8/64/256 B, stache and predictive).  Prices are
+    shared, not just tested: when the flush was still copied here, a
+    wrong size for bare grant-only notices passed 200 random programs and
+    every validation band, and only an exact check of Barnes under
+    predictive at 64 B caught it. *)
 
 module Network = Ccdsm_tempest.Network
 
@@ -95,20 +109,12 @@ type predictor
     and calling {!eval} per block size is what makes a warm what-if a
     few-millisecond operation on six-figure event counts. *)
 
-val prepare :
-  ?per_block_us:float ->
-  ?record_us:float ->
-  Profile.t ->
-  net:Network.t ->
-  protocol:protocol ->
-  (predictor, string) result
-(** Compile [p] for predictions under [protocol].  [net] supplies the
-    control-message size and the pricing cost parameters; [per_block_us]
-    and [record_us] (defaults 1.0 and 2.0, matching
-    [Predictive.create]) price the predictive protocol's schedule-scan and
-    fault-recording overheads.  [Error] on a malformed profile (events
-    referencing unallocated addresses, heap-mirror divergence) or a profile
-    collected under a protocol the model cannot replay. *)
+val prepare : Profile.t -> net:Network.t -> protocol:protocol -> (predictor, string) result
+(** Compile [p] for predictions under [protocol]; [net] is the network the
+    replay is priced on (through {!Ccdsm_proto.Cost}).  [Error] on a
+    malformed profile (events referencing unallocated addresses,
+    heap-mirror divergence) or a profile collected under a protocol the
+    model cannot replay. *)
 
 val eval :
   ?fudge_faults:int ->
@@ -126,8 +132,6 @@ val eval :
 val predict :
   ?fudge_faults:int ->
   ?fudge_wait_us:float ->
-  ?per_block_us:float ->
-  ?record_us:float ->
   Profile.t ->
   net:Network.t ->
   block_bytes:int ->

@@ -17,5 +17,3 @@ let msg_cost t ~bytes = t.msg_startup_us +. (float_of_int bytes *. t.per_byte_us
 let barrier_cost t ~nodes =
   let rec log2_ceil n acc = if n <= 1 then acc else log2_ceil ((n + 1) / 2) (acc + 1) in
   float_of_int (log2_ceil nodes 0) *. t.barrier_hop_us
-
-let round_trip t ~bytes = msg_cost t ~bytes:t.ctrl_bytes +. msg_cost t ~bytes

@@ -27,6 +27,3 @@ val msg_cost : t -> bytes:int -> float
 
 val barrier_cost : t -> nodes:int -> float
 (** Cost of a global barrier over [nodes] processors. *)
-
-val round_trip : t -> bytes:int -> float
-(** Request/response pair: one control message out, [bytes] of data back. *)

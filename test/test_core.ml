@@ -404,24 +404,39 @@ let test_predictive_presend_charges_presend_bucket () =
     (Machine.bucket_time m ~node:1 Machine.Presend > 0.0)
 
 let test_predictive_bulk_coalescing () =
-  (* Two adjacent blocks read by the same consumer: the presend should use
-     one bulk message for both. *)
-  let m, p, coh = predictive_machine () in
-  let a = Machine.alloc m ~words:8 ~home:1 in
-  coh.Coherence.phase_begin ~phase:0;
-  ignore (Machine.read m ~node:2 a);
-  ignore (Machine.read m ~node:2 (a + 4));
-  coh.Coherence.phase_end ~phase:0;
-  (* Invalidate the copies so the presend has work to do. *)
-  Machine.write m ~node:0 a 1.0;
-  Machine.write m ~node:0 (a + 4) 2.0;
-  coh.Coherence.phase_begin ~phase:0;
-  coh.Coherence.phase_end ~phase:0;
-  let st = Predictive.stats p in
+  (* Two adjacent blocks read by the same consumer, then dirtied by node 0:
+     the presend recalls both to their home and forwards them to the reader.
+     Returns the protocol stats and the machine's own message delta over
+     the presend. *)
+  let run ~coalesce =
+    let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
+    let p = Predictive.create ~coalesce m in
+    let coh = Predictive.coherence p in
+    let a = Machine.alloc m ~words:8 ~home:1 in
+    coh.Coherence.phase_begin ~phase:0;
+    ignore (Machine.read m ~node:2 a);
+    ignore (Machine.read m ~node:2 (a + 4));
+    coh.Coherence.phase_end ~phase:0;
+    (* Invalidate the copies so the presend has work to do. *)
+    Machine.write m ~node:0 a 1.0;
+    Machine.write m ~node:0 (a + 4) 2.0;
+    let before = (Machine.total_counters m).Machine.msgs in
+    coh.Coherence.phase_begin ~phase:0;
+    coh.Coherence.phase_end ~phase:0;
+    (Predictive.stats p, (Machine.total_counters m).Machine.msgs - before)
+  in
+  let st, sent = run ~coalesce:true in
   (* One recall request + one bulk recall reply bring both blocks home, then
      a single 2-block gather message forwards them to the reader. *)
   check Alcotest.int "three messages total" 3 st.Predictive.presend_msgs;
-  check Alcotest.int "two blocks granted" 2 st.Predictive.presend_blocks
+  check Alcotest.int "stat = messages sent" sent st.Predictive.presend_msgs;
+  check Alcotest.int "two blocks granted" 2 st.Predictive.presend_blocks;
+  (* Without coalescing every block travels alone: the recall request, one
+     reply per block, one grant per block. *)
+  let st, sent = run ~coalesce:false in
+  check Alcotest.int "five messages uncoalesced" 5 st.Predictive.presend_msgs;
+  check Alcotest.int "stat = messages sent uncoalesced" sent st.Predictive.presend_msgs;
+  check Alcotest.int "two blocks granted uncoalesced" 2 st.Predictive.presend_blocks
 
 let test_predictive_equivalence_with_stache =
   (* Whatever the phase directives, predictive must compute the same values

@@ -9,6 +9,8 @@ module Directory = Ccdsm_proto.Directory
 module Engine = Ccdsm_proto.Engine
 module Bulk = Ccdsm_proto.Bulk
 module Write_update = Ccdsm_proto.Write_update
+module Cost = Ccdsm_proto.Cost
+module Trace = Ccdsm_tempest.Trace
 
 let check = Alcotest.check
 let tag = Alcotest.testable Tag.pp Tag.equal
@@ -301,8 +303,109 @@ let test_wu_update_coalescing () =
   let stats = coh.Ccdsm_proto.Coherence.stats () in
   check (Alcotest.float 0.0) "blocks updated" 2.0 (List.assoc "update_blocks" stats)
 
+(* -- Cost ------------------------------------------------------------------ *)
+
+(* The counts and prices [Cost] hands the analytical model must describe the
+   legs it hands the engine: same message count, same payload, and a price
+   that is the legs' message costs added up. *)
+let test_cost_shapes () =
+  List.iter
+    (fun (net, block_bytes) ->
+      let c = Cost.make net ~block_bytes in
+      let legs_us legs =
+        List.fold_left (fun acc (_, _, _, bytes) -> acc +. Network.msg_cost net ~bytes) 0.0 legs
+      in
+      let legs_bytes legs = List.fold_left (fun acc (_, _, _, bytes) -> acc + bytes) 0 legs in
+      List.iter
+        (fun (name, f) ->
+          let legs = Cost.fetch_legs c f ~node:1 ~home:2 ~owner:3 in
+          check Alcotest.int (name ^ " msgs") (List.length legs) (Cost.fetch_msgs f);
+          check Alcotest.int (name ^ " bytes") (legs_bytes legs) (Cost.fetch_bytes c f);
+          check (Alcotest.float 1e-9) (name ^ " us") (legs_us legs) (Cost.fetch_us c f))
+        Cost.
+          [
+            ("reply", Reply);
+            ("recall", Recall);
+            ("chain", Chain);
+            ("forward", Forward);
+            ("upgrade", Upgrade);
+          ];
+      let one = ref [] in
+      Cost.iter_inval_legs c ~home:0 ~victim:1 (fun s d k b -> one := (s, d, k, b) :: !one);
+      let one = List.rev !one in
+      List.iter
+        (fun k ->
+          check Alcotest.int "inval msgs" (k * List.length one) (Cost.inval_msgs k);
+          check Alcotest.int "inval bytes" (k * legs_bytes one) (Cost.inval_bytes c k))
+        [ 1; 2; 5 ];
+      (* One victim is one plain round trip; each extra overlapped notice
+         adds less than a message of its own. *)
+      check (Alcotest.float 1e-9) "one inval" (legs_us one) (Cost.inval_us c 1);
+      Alcotest.(check bool) "overlap" true (Cost.inval_us c 2 -. Cost.inval_us c 1 < legs_us one))
+    [ (Network.default, 32); (Network.default, 256); (Network.hardware_dsm, 64) ]
+
+(* A flush of every queue kind, coalesced and not: order, kinds, sizes and
+   the grant counts behind the presend stats. *)
+let test_cost_flush () =
+  let c = Cost.make Network.default ~block_bytes:32 in
+  let q = Cost.queues () in
+  List.iter (Cost.push q.Cost.recall (3, 1)) [ 9; 5; 6 ];
+  Cost.bump q.Cost.inval (1, 2);
+  Cost.bump q.Cost.inval (1, 2);
+  List.iter (Cost.push q.Cost.data (1, 0)) [ 6; 5 ];
+  Cost.bump q.Cost.grant (1, 0);
+  Cost.bump q.Cost.grant (1, 2);
+  let shape (g : Cost.msg) =
+    ( g.Cost.payer,
+      g.Cost.src,
+      g.Cost.dst,
+      Trace.msg_kind_name g.Cost.kind,
+      g.Cost.bytes,
+      g.Cost.grants )
+  in
+  let t6 = Alcotest.(list (pair (triple int int int) (triple string int int))) in
+  let split l = List.map (fun (a, b, c, d, e, f) -> ((a, b, c), (d, e, f))) l in
+  let ctrl = Cost.ctrl c in
+  (* coalesced: blocks 5,6,9 are two runs (2 headers); 5,6 one run *)
+  check t6 "coalesced"
+    (split
+       [
+         (1, 1, 3, "recall", ctrl, 0);
+         (1, 3, 1, "data", ctrl + (3 * 32) + 16, 0);
+         (1, 1, 2, "inval", ctrl + 8, 0);
+         (1, 2, 1, "ack", ctrl, 0);
+         (1, 1, 0, "data", ctrl + (2 * 32) + 8 + 4, 2);
+         (1, 1, 2, "grant", ctrl + 4, 0);
+       ])
+    (split (List.map shape (Cost.flush c ~coalesce:true q)));
+  check t6 "uncoalesced"
+    (split
+       [
+         (1, 1, 3, "recall", ctrl, 0);
+         (1, 3, 1, "data", ctrl + 32, 0);
+         (1, 3, 1, "data", ctrl + 32, 0);
+         (1, 3, 1, "data", ctrl + 32, 0);
+         (1, 1, 2, "inval", ctrl + 8, 0);
+         (1, 2, 1, "ack", ctrl, 0);
+         (1, 1, 0, "data", ctrl + 32 + 4, 1);
+         (1, 1, 0, "data", ctrl + 32, 1);
+         (1, 1, 2, "grant", ctrl + 4, 0);
+       ])
+    (split (List.map shape (Cost.flush c ~coalesce:false q)));
+  List.iter
+    (fun (g : Cost.msg) ->
+      check (Alcotest.float 0.0) "msg price"
+        (Network.msg_cost Network.default ~bytes:g.Cost.bytes)
+        g.Cost.us)
+    (Cost.flush c ~coalesce:true q)
+
 let suite =
   [
+    ( "proto.cost",
+      [
+        Alcotest.test_case "fetch and invalidation shapes" `Quick test_cost_shapes;
+        Alcotest.test_case "presend flush messages" `Quick test_cost_flush;
+      ] );
     ( "proto.bulk",
       [
         Alcotest.test_case "runs" `Quick test_bulk_runs;

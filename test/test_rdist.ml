@@ -200,6 +200,81 @@ let test_validate_wall_perturbed_fails () =
   if report.PC.pass then
     Alcotest.fail "wait-perturbed model passed cross-validation (wall bands have no teeth)"
 
+(* -- the model's transitions against real runs ------------------------------ *)
+
+(* The model keeps its own block-granular tag/directory transitions (for
+   speed; the prices come from the simulator's Cost table).  This pins them
+   to real runs at the first segment that drifts: from one 32 B stache
+   profile, every segment's predicted faults, presend grants and
+   residual-corrected traffic at 8, 64 and 256 B must equal a profile of
+   the real run at that block size, under stache and predictive alike. *)
+let segment_mismatch (app : PC.app) =
+  let base = PC.collect_profile app ~block_bytes:32 ~protocol:Model.Stache in
+  let check_point protocol block_bytes pr =
+    let label = Printf.sprintf "%s at %dB" (Model.protocol_label protocol) block_bytes in
+    match Model.eval pr ~block_bytes with
+    | Error msg -> Some (label ^ ": " ^ msg)
+    | Ok pred ->
+        let act = PC.collect_profile app ~block_bytes ~protocol in
+        let row (s : Model.seg_pred) =
+          ( s.Model.read_faults + s.Model.write_faults,
+            s.Model.presends,
+            s.Model.msgs_total,
+            s.Model.bytes_total )
+        and act_row (s : Profile.segment) =
+          (s.Profile.a_faults, s.Profile.a_presends, s.Profile.a_msgs, s.Profile.a_bytes)
+        in
+        let pred_rows = Array.map row pred.Model.segs
+        and act_rows = Array.map act_row act.Profile.segments in
+        if Array.length pred_rows <> Array.length act_rows then
+          Some
+            (Printf.sprintf "%s: %d predicted segments vs %d actual" label (Array.length pred_rows)
+               (Array.length act_rows))
+        else
+          let show (f, g, m, b) =
+            Printf.sprintf "faults %d, grants %d, msgs %d, bytes %d" f g m b
+          in
+          let bad = ref None in
+          Array.iteri
+            (fun i r ->
+              if !bad = None && r <> act_rows.(i) then
+                bad :=
+                  Some
+                    (Printf.sprintf "%s, segment %d (%s): predicted %s, actual %s" label i
+                       act.Profile.segments.(i).Profile.name (show r) (show act_rows.(i))))
+            pred_rows;
+          !bad
+  in
+  List.find_map
+    (fun protocol ->
+      match Model.prepare base ~net:Ccdsm_tempest.Network.default ~protocol with
+      | Error msg -> Some ("prepare: " ^ msg)
+      | Ok pr -> List.find_map (fun block -> check_point protocol block pr) [ 8; 64; 256 ])
+    [ Model.Stache; Model.Predictive { coalesce = true; conflict_action = `Ignore } ]
+
+let test_segments_match_jacobi () =
+  match segment_mismatch (jacobi_app ()) with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
+let qcheck_segments_match_programs =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"model segments = real runs on random programs"
+       Test_cstar_fuzz.gen_program (fun ast ->
+         match Test_cstar_fuzz.compile_ast ast with
+         | Error (printed, _) -> QCheck2.Test.fail_reportf "did not compile:@.%s" printed
+         | Ok (printed, compiled) -> (
+             let app =
+               {
+                 PC.app_name = "cstar";
+                 app_nodes = 4;
+                 app_run = (fun rt -> Ccdsm_cstar.Interp.run (Ccdsm_cstar.Interp.load rt compiled));
+               }
+             in
+             match segment_mismatch app with
+             | None -> true
+             | Some msg -> QCheck2.Test.fail_reportf "%s@.%s" msg printed)))
+
 let suite =
   [
     ( "rdist",
@@ -216,5 +291,7 @@ let suite =
         Alcotest.test_case "perturbed model fails validation" `Slow test_validate_perturbed_fails;
         Alcotest.test_case "wait-perturbed model fails validation" `Slow
           test_validate_wall_perturbed_fails;
+        Alcotest.test_case "model segments = real runs on jacobi" `Quick test_segments_match_jacobi;
+        qcheck_segments_match_programs;
       ] );
   ]

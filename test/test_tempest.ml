@@ -200,7 +200,8 @@ let test_network_costs () =
     (n.Network.msg_startup_us +. (32.0 *. n.Network.per_byte_us))
     (Network.msg_cost n ~bytes:32);
   (* A clean 2-hop miss should be in the neighbourhood of the paper's 200us. *)
-  let miss = n.Network.fault_us +. Network.round_trip n ~bytes:32 in
+  let reply = Ccdsm_proto.Cost.(fetch_us (make n ~block_bytes:32) Reply) in
+  let miss = n.Network.fault_us +. reply in
   Alcotest.(check bool) "2-hop miss ~200us" true (miss > 150.0 && miss < 250.0);
   check (Alcotest.float 1e-9) "barrier log2" (5.0 *. n.Network.barrier_hop_us)
     (Network.barrier_cost n ~nodes:32);
