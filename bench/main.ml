@@ -340,6 +340,29 @@ let timeline_read_pair () =
 
 let test_read_untimed, test_timeline_record = timeline_read_pair ()
 
+(* A read hit and a write hit with the online sanitizer subscribed, as every
+   served simulation, sweep cell and fault-grid row runs: the checked
+   access path (a stable point on the dirty set) and, for the write, the
+   race-table stamp.  Compare with micro-local-hit. *)
+let sanitized_pair () =
+  let mk write =
+    let m = Machine.create (small_machine ()) in
+    let eng, _ = Ccdsm_proto.Engine.stache m in
+    ignore (Ccdsm_proto.Sanitizer.attach ~dir:eng.Ccdsm_proto.Engine.dir m);
+    let a = Machine.alloc m ~words:512 ~home:0 in
+    let i = ref 0 in
+    if write then fun () ->
+      incr i;
+      Machine.write m ~node:0 (a + (!i land 511)) 1.0
+    else fun () ->
+      incr i;
+      ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (!i land 511))))
+  in
+  ( Test.make ~name:"micro-read-sanitized" (Staged.stage (mk false)),
+    Test.make ~name:"micro-write-sanitized" (Staged.stage (mk true)) )
+
+let test_read_sanitized, test_write_sanitized = sanitized_pair ()
+
 let test_predict_point =
   Test.make ~name:"micro-predict-point"
     (Staged.stage
@@ -399,6 +422,8 @@ let tests =
       test_read_profiled;
       test_read_untimed;
       test_timeline_record;
+      test_read_sanitized;
+      test_write_sanitized;
       test_predict_point;
     ]
 

@@ -76,7 +76,6 @@ let run ?(mode = Sanitizer.Invalidate) lines =
               | () -> incr events
               | exception Sanitizer.Violation v ->
                   fail line "%s" (Sanitizer.to_string v)
-              | exception Invalid_argument m -> fail line "%s" m
             end))
   in
   (try
@@ -87,7 +86,9 @@ let run ?(mode = Sanitizer.Invalidate) lines =
            if String.trim line = "" then incr skipped
            else
              match Trace.of_json line with
-             | Ok ev -> feed lineno ev
+             | Ok ev -> (
+                 (* A mirror rejecting a forged value fails on its line. *)
+                 try feed lineno ev with Invalid_argument m -> fail lineno "%s" m)
              | Error m -> fail lineno "%s" m
          end)
        lines

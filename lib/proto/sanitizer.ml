@@ -21,45 +21,59 @@ let to_string v =
   Format.pp_print_flush f ();
   Buffer.contents b
 
-(* Ring buffer of the most recent events, for violation diagnostics. *)
+(* Ring buffer of the most recent events, for violation diagnostics; a
+   power of two so the slot is a mask. *)
 let history_len = 16
 
+(* The dirty set and the race table are flat arrays indexed by block and
+   word.  They grow by doubling as the machine allocates, so an event
+   touches O(1) slots and allocates nothing. *)
 type t = {
   machine : Machine.t;
   mode : mode;
   dir : Directory.t option;
   check_races : bool;
-  mutable seen : int;
-  dirty : (Machine.block, unit) Hashtbl.t;
-      (* blocks whose tags changed since the last stable point *)
+  nodes : int;
+  words_per_block : int;
+  mutable dirty : int array;
+      (* blocks whose tags changed since the last stable point, first-dirtied
+         first; only the first [ndirty] are live, and only with a [dir] *)
+  mutable ndirty : int;
+  mutable dirty_mark : Bytes.t;  (* per block: '\001' while it is in [dirty] *)
   recorded : (int * Machine.block, Nodeset.t) Hashtbl.t;
       (* (phase, block) -> consumers recorded in the communication schedule *)
-  writers : (Machine.addr, int) Hashtbl.t;
-      (* word -> node that wrote it in the current barrier interval *)
+  mutable writers : int array;
+      (* per word: [epoch + node] for the node that wrote it in the current
+         barrier interval; any value below [epoch] is from an older one *)
+  mutable epoch : int;  (* a positive multiple of [nodes], bumped per barrier *)
   rw_holders : (Machine.block, Nodeset.t) Hashtbl.t;
       (* Commutative mode: ReadWrite holders per block, maintained
          incrementally from Tag_change events.  [dirty] cannot serve here —
-         it is reset at every stable point, while the multi-writer window of
-         a commutative phase spans many of them. *)
-  history : Trace.event option array;
-  mutable hist_next : int;
+         it is emptied at every stable point, while the multi-writer window
+         of a commutative phase spans many of them. *)
+  history : Trace.event array;
+  mutable hist_next : int;  (* events seen so far *)
 }
 
 let remember t ev =
-  t.history.(t.hist_next mod history_len) <- Some ev;
+  Array.unsafe_set t.history (t.hist_next land (history_len - 1)) ev;
   t.hist_next <- t.hist_next + 1
 
 let recent t =
   let n = min t.hist_next history_len in
-  List.init n (fun i ->
-      match t.history.((t.hist_next - n + i) mod history_len) with
-      | Some ev -> ev
-      | None -> assert false)
+  List.init n (fun i -> t.history.((t.hist_next - n + i) land (history_len - 1)))
 
 let fail t ~check fmt =
   Format.kasprintf
     (fun message -> raise (Violation { check; message; history = recent t }))
     fmt
+
+(* The first doubling of [len] (at least 16) past index [need].  Callers
+   range-check [need] against the machine first, so a table never grows
+   past twice what the machine has allocated. *)
+let grown ~len ~need =
+  let rec go n = if n > need then n else go (2 * n) in
+  go (max 16 len)
 
 (* Single-writer/multi-reader over the machine's tags for one block.  In
    Update mode the writer legitimately coexists with update-fed ReadOnly
@@ -67,7 +81,7 @@ let fail t ~check fmt =
 let check_swmr t b =
   let m = t.machine in
   let writers = ref [] and readers = ref 0 in
-  for node = 0 to Machine.num_nodes m - 1 do
+  for node = 0 to t.nodes - 1 do
     match Machine.tag m ~node b with
     | Tag.Read_write -> writers := node :: !writers
     | Tag.Read_only -> incr readers
@@ -107,28 +121,71 @@ let check_merged t ~phase =
           (String.concat "," (List.map string_of_int (Nodeset.elements holders))))
     t.rw_holders
 
+(* The stack and the marks have one length, so the stack (whose blocks are
+   distinct and marked) never overflows. *)
+let mark_dirty t b =
+  if b >= Bytes.length t.dirty_mark then begin
+    let n = grown ~len:(Bytes.length t.dirty_mark) ~need:b in
+    let marks = Bytes.make n '\000' and stack = Array.make n 0 in
+    Bytes.blit t.dirty_mark 0 marks 0 (Bytes.length t.dirty_mark);
+    Array.blit t.dirty 0 stack 0 t.ndirty;
+    t.dirty_mark <- marks;
+    t.dirty <- stack
+  end;
+  if Bytes.unsafe_get t.dirty_mark b = '\000' then begin
+    Bytes.unsafe_set t.dirty_mark b '\001';
+    Array.unsafe_set t.dirty t.ndirty b;
+    t.ndirty <- t.ndirty + 1
+  end
+
+(* A stable point: every block dirtied since the last one must show
+   directory/tag agreement.  On a violation the set is left as it was. *)
 let check_dir_agreement t =
-  match t.dir with
-  | None -> Hashtbl.reset t.dirty
-  | Some dir ->
-      Hashtbl.iter
-        (fun b () ->
-          match Directory.check_invariant dir b with
+  if t.ndirty > 0 then
+    match t.dir with
+    | None -> ()
+    | Some dir ->
+        for i = 0 to t.ndirty - 1 do
+          match Directory.check_invariant dir t.dirty.(i) with
           | Ok () -> ()
-          | Error msg -> fail t ~check:"directory" "directory/tag disagreement: %s" msg)
-        t.dirty;
-      Hashtbl.reset t.dirty
+          | Error msg -> fail t ~check:"directory" "directory/tag disagreement: %s" msg
+        done;
+        for i = 0 to t.ndirty - 1 do
+          Bytes.unsafe_set t.dirty_mark t.dirty.(i) '\000'
+        done;
+        t.ndirty <- 0
+
+let word_limit t = Machine.num_blocks t.machine * t.words_per_block
+
+(* Per-phase write-ownership: two different nodes writing the same word
+   between consecutive barriers is a race.  [addr] is range-checked. *)
+let note_write t ~node ~addr =
+  if addr >= Array.length t.writers then begin
+    let ws = Array.make (grown ~len:(Array.length t.writers) ~need:addr) 0 in
+    Array.blit t.writers 0 ws 0 (Array.length t.writers);
+    t.writers <- ws
+  end;
+  let w = Array.unsafe_get t.writers addr in
+  if w >= t.epoch && w <> t.epoch + node then
+    fail t ~check:"race"
+      "write race on word %d: nodes %d and %d both wrote it with no intervening barrier" addr
+      (w - t.epoch) node
+  else Array.unsafe_set t.writers addr (t.epoch + node)
 
 let on_event t ev =
-  t.seen <- t.seen + 1;
   remember t ev;
   match ev with
   | Trace.Tag_change { node; block; after; _ } ->
-      Hashtbl.replace t.dirty block ();
+      if node < 0 || node >= t.nodes then
+        fail t ~check:"tag" "tag change at node %d out of range [0,%d)" node t.nodes;
+      if block < 0 || block >= Machine.num_blocks t.machine then
+        fail t ~check:"tag" "tag change on block %d outside the %d allocated" block
+          (Machine.num_blocks t.machine);
+      if Option.is_some t.dir then mark_dirty t block;
       if t.mode = Commutative then track_rw t ~node ~block ~after
       else check_swmr t block
   | Trace.Msg { src; dst; bytes; kind } ->
-      let n = Machine.num_nodes t.machine in
+      let n = t.nodes in
       if src < 0 || src >= n then
         fail t ~check:"msg" "message source %d out of range [0,%d)" src n;
       if dst >= n then fail t ~check:"msg" "message destination %d out of range [0,%d)" dst n;
@@ -160,24 +217,21 @@ let on_event t ev =
              record for that (phase, block) — stale after a flush?"
             block phase)
   | Trace.Access { node; addr; write; faulted = _ } ->
-      (if write && t.check_races then
-         match Hashtbl.find_opt t.writers addr with
-         | Some w when w <> node ->
-             fail t ~check:"race"
-               "write race on word %d: nodes %d and %d both wrote it with no \
-                intervening barrier"
-               addr w node
-         | _ -> Hashtbl.replace t.writers addr node);
+      if node < 0 || node >= t.nodes then
+        fail t ~check:"access" "access by node %d out of range [0,%d)" node t.nodes;
+      if addr < 0 || addr >= word_limit t then
+        fail t ~check:"access" "access to word %d outside the %d allocated" addr (word_limit t);
+      if write && t.check_races then note_write t ~node ~addr;
       check_dir_agreement t
   | Trace.Barrier _ ->
-      Hashtbl.reset t.writers;
+      t.epoch <- t.epoch + t.nodes;
       check_dir_agreement t
   | Trace.Phase_end { phase } ->
       if t.mode = Commutative then check_merged t ~phase;
       check_dir_agreement t
   | Trace.Msg_drop { src; dst; kind = _ } ->
       (* A lost message must still have been a well-formed send. *)
-      let n = Machine.num_nodes t.machine in
+      let n = t.nodes in
       if src < 0 || src >= n then fail t ~check:"drop" "dropped-message source %d out of range [0,%d)" src n;
       if dst >= n then fail t ~check:"drop" "dropped-message destination %d out of range [0,%d)" dst n
   | Trace.Sched_corrupt { phase; block; node } -> (
@@ -189,7 +243,7 @@ let on_event t ev =
       | None -> Hashtbl.remove t.recorded (phase, block)
       | Some n -> Hashtbl.replace t.recorded (phase, block) (Nodeset.singleton n))
   | Trace.Retry { node; block = _; attempt } ->
-      let n = Machine.num_nodes t.machine in
+      let n = t.nodes in
       if node < 0 || node >= n then fail t ~check:"retry" "retry by node %d out of range [0,%d)" node n;
       if attempt < 1 then fail t ~check:"retry" "retry with non-positive attempt %d" attempt
   | Trace.Presend_fallback _
@@ -200,19 +254,25 @@ let on_event t ev =
 (* [create] builds a detached sanitizer: the caller feeds it events
    explicitly (the trace-replay oracle drives one from a recorded JSONL
    stream against a mirror machine).  [attach] is the live form, subscribed
-   to the machine's trace bus. *)
+   to the machine's trace bus.  The block and word tables start empty and
+   grow on first use. *)
 let create ?(mode = Invalidate) ?dir ?(check_races = true) machine =
+  let nodes = Machine.num_nodes machine in
   {
     machine;
     mode;
     dir;
     check_races;
-    seen = 0;
-    dirty = Hashtbl.create 64;
+    nodes;
+    words_per_block = Machine.words_per_block machine;
+    dirty = [||];
+    ndirty = 0;
+    dirty_mark = Bytes.empty;
     recorded = Hashtbl.create 64;
-    writers = Hashtbl.create 1024;
+    writers = [||];
+    epoch = nodes;
     rw_holders = Hashtbl.create 64;
-    history = Array.make history_len None;
+    history = Array.make history_len (Trace.Phase_begin { phase = 0 });
     hist_next = 0;
   }
 
@@ -223,4 +283,4 @@ let attach ?mode ?dir ?check_races machine =
   Machine.subscribe machine (on_event t);
   t
 
-let events_seen t = t.seen
+let events_seen t = t.hist_next

@@ -30,10 +30,22 @@
       barriers violates the race-freedom the execution model rests on
       (disable with [~check_races:false] for raw protocol exploration that
       has no phase structure, e.g. the model checker's op sequences).
+    - [Access] and [Tag_change]: the node, word and block must exist on the
+      machine — {!feed} takes untrusted replay lines.
 
     On violation the sanitizer raises {!Violation} with a structured
     {!violation} naming the failing invariant and carrying the most recent
-    events for context. *)
+    events for context.
+
+    Cost: O(1) amortized per event, apart from the per-block checks
+    themselves (an O(nodes) tag scan per [Tag_change], and one
+    {!Directory.check_invariant} per block dirtied since the last stable
+    point).  Nothing is allocated per [Access]: the dirty set is a block
+    stack with a per-block mark, so a stable point with nothing dirty costs
+    one compare; the race table is a per-word array stamped with the
+    barrier interval and the writer, so a [Barrier] bumps a counter; the
+    history is a fixed ring.  The block and word tables grow by doubling
+    to cover what the machine has allocated, never past twice that. *)
 
 module Machine = Ccdsm_tempest.Machine
 module Trace = Ccdsm_tempest.Trace
@@ -56,7 +68,9 @@ type t
 type violation = {
   check : string;
       (** which invariant tripped: ["swmr"], ["merge"], ["directory"],
-          ["msg"], ["presend"], ["race"], ["drop"] or ["retry"] *)
+          ["msg"], ["presend"], ["race"], ["drop"], ["retry"], or
+          ["access"] / ["tag"] for an event naming a node, word or block
+          the machine does not have *)
   message : string;  (** human-readable description of the failure *)
   history : Trace.event list;
       (** the most recent events at the failure, oldest first *)

@@ -10,9 +10,11 @@ type t = {
   mutable time : int;  (* next free slot, <= cap *)
   mutable live : int;  (* = Hashtbl.length last *)
   last : (int, int) Hashtbl.t;  (* key -> slot of its last access *)
+  mutable prev : int;  (* key of the newest slot, meaningful while [time > 0] *)
 }
 
-let create () = { tree = Array.make 17 0; cap = 16; time = 0; live = 0; last = Hashtbl.create 64 }
+let create () =
+  { tree = Array.make 17 0; cap = 16; time = 0; live = 0; last = Hashtbl.create 64; prev = 0 }
 
 let[@inline] add tree cap i delta =
   let i = ref (i + 1) in
@@ -54,7 +56,7 @@ let compact t =
   t.cap <- !cap;
   t.time <- t.live
 
-let access t k =
+let touch t k =
   if t.time = t.cap then compact t;
   let d =
     match Hashtbl.find_opt t.last k with
@@ -71,7 +73,13 @@ let access t k =
   add t.tree t.cap t.time 1;
   Hashtbl.replace t.last k t.time;
   t.time <- t.time + 1;
+  t.prev <- k;
   d
+
+(* A repeat of the previous access has distance 0, and its slot is already
+   the newest, so neither the tree nor the table changes: [compact] keeps
+   that slot newest, and [reset] zeroes [time]. *)
+let access t k = if t.time > 0 && k = t.prev then 0 else touch t k
 
 let reset t =
   Hashtbl.reset t.last;

@@ -10,7 +10,8 @@
     The implementation is the classic Bennett–Kruskal/Olken structure: a
     hash table mapping each key to the time slot of its last access plus a
     Fenwick (binary-indexed) tree of live slots, giving O(log n) per access
-    with n the number of accesses since the last compaction.  The slot space
+    with n the number of accesses since the last compaction, and O(1) for a
+    repeat of the immediately preceding key.  The slot space
     is compacted in place when it fills, so memory stays proportional to the
     number of {e distinct} keys. *)
 

@@ -90,6 +90,7 @@ type t = {
   cache_miss : Obs.Counter.t;
   cache_join : Obs.Counter.t;
   slow_jobs : Obs.Counter.t;
+  slow_capture_failures : Obs.Counter.t;
   predict_jobs : Obs.Counter.t;
   predict_profiles : Obs.Gauge.t;
   abandoned : Obs.Counter.t;
@@ -125,23 +126,36 @@ let id_lit = function Some s -> s | None -> "null"
 
 let status_of = function Result _ -> "ok" | Job_error _ -> "error" | Timeout -> "timeout"
 
+let log_line t oc line =
+  Mutex.lock t.log_mutex;
+  output_string oc line;
+  output_char oc '\n';
+  flush oc;
+  Mutex.unlock t.log_mutex
+
 let log_job t ~id ~key ~cache ~queue_wait_us ~run_us ~slow status =
   match t.log_oc with
   | None -> ()
   | Some oc ->
-      let line =
-        Printf.sprintf
-          "{\"cache\":%s,\"id\":%s,\"key\":%s,\"queue_wait_us\":%s,\"run_us\":%s,\"slow\":%b,\"status\":%s}"
-          (Json.quote cache) (id_lit id)
-          (match key with None -> "null" | Some k -> "\"" ^ k ^ "\"")
-          (Obs.float_to_string queue_wait_us)
-          (Obs.float_to_string run_us) slow (Json.quote status)
-      in
-      Mutex.lock t.log_mutex;
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      Mutex.unlock t.log_mutex
+      log_line t oc
+        (Printf.sprintf
+           "{\"cache\":%s,\"id\":%s,\"key\":%s,\"queue_wait_us\":%s,\"run_us\":%s,\"slow\":%b,\"status\":%s}"
+           (Json.quote cache) (id_lit id)
+           (match key with None -> "null" | Some k -> "\"" ^ k ^ "\"")
+           (Obs.float_to_string queue_wait_us)
+           (Obs.float_to_string run_us) slow (Json.quote status))
+
+(* The slow-job capture re-run raised.  Its job was already answered, so the
+   failure is counted and logged (to stderr without a request log) instead
+   of reaching a client. *)
+let capture_failed t ~key e =
+  tick t (fun () -> Obs.Counter.inc t.slow_capture_failures);
+  let line =
+    Printf.sprintf "{\"error\":%s,\"event\":\"slow_capture_failed\",\"key\":%s}"
+      (Json.quote (Printexc.to_string e))
+      (Json.quote key)
+  in
+  match t.log_oc with Some oc -> log_line t oc line | None -> prerr_endline line
 
 let render ~id ~key ~kind outcome =
   match outcome with
@@ -313,7 +327,8 @@ let handle_line t conn line =
                     else if is_slow then
                       (* After [finish] so waiters are not held behind the
                          capture re-run. *)
-                      try Runner.record_slow ~key ~run_ms:dt_ms prepared with _ -> ()
+                      try Runner.record_slow ~key ~run_ms:dt_ms prepared
+                      with e -> capture_failed t ~key e
                   end;
                   Atomic.decr t.admitted
                 in
@@ -495,6 +510,7 @@ let start cfg =
       cache_miss = counter ~labels:[ ("kind", "miss") ] "ccdsm_serve_cache_total";
       cache_join = counter ~labels:[ ("kind", "join") ] "ccdsm_serve_cache_total";
       slow_jobs = counter "ccdsm_serve_slow_jobs_total";
+      slow_capture_failures = counter "ccdsm_serve_slow_capture_failures_total";
       predict_jobs = counter "ccdsm_serve_predict_jobs_total";
       predict_profiles = Obs.Registry.gauge registry "ccdsm_serve_predict_profiles";
       abandoned = counter "ccdsm_serve_jobs_abandoned_total";

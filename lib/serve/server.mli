@@ -42,7 +42,11 @@ type config = {
       (** jobs whose run time reaches this are flagged [slow:true] in the
           log, counted on [ccdsm_serve_slow_jobs_total], and captured into
           the {!Runner} slow-job timeline ring (retrievable with a
-          [{"kind":"timeline"}] job); [0] (the default) disables *)
+          [{"kind":"timeline"}] job); [0] (the default) disables.  A
+          capture re-run that raises is counted on
+          [ccdsm_serve_slow_capture_failures_total] and logged as
+          [{"error":...,"event":"slow_capture_failed","key":...}] (to the
+          request log, else stderr) *)
   apps : Runner.app list option;  (** test override for the app table *)
 }
 

@@ -261,6 +261,40 @@ let test_replay_headerless () =
   | Ok _ -> Alcotest.fail "event before init accepted"
   | Error e -> check Alcotest.int "fails on line 1" 1 e.Replay.line
 
+let test_replay_rejects_forged_ranges () =
+  (* Replay lines are untrusted: an access or tag change naming a node or
+     word the machine does not have fails on its own line, as an error
+     record rather than an exception out of [run]. *)
+  let contains s sub =
+    let n = String.length s and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  let header =
+    [
+      {|{"type":"init","nodes":2,"block_bytes":32}|};
+      {|{"type":"alloc","first_block":0,"blocks":1,"home":0}|};
+    ]
+  in
+  List.iter
+    (fun (forged, expect) ->
+      match Replay.run (header @ [ forged ]) with
+      | Ok _ -> Alcotest.failf "accepted: %s" forged
+      | Error e ->
+          check Alcotest.int ("fails on its line: " ^ forged) 3 e.Replay.line;
+          check Alcotest.bool ("names the check: " ^ forged) true
+            (contains e.Replay.message expect))
+    [
+      ({|{"type":"access","node":99,"addr":-5,"kind":"write","faulted":false}|}, "node 99");
+      ({|{"type":"access","node":-1,"addr":0,"kind":"read","faulted":false}|}, "node -1");
+      ({|{"type":"access","node":1,"addr":-5,"kind":"write","faulted":false}|}, "word -5");
+      ({|{"type":"access","node":0,"addr":4,"kind":"read","faulted":false}|}, "word 4");
+      ( {|{"type":"access","node":1,"addr":4611686018427387903,"kind":"write","faulted":false}|},
+        "word 4611686018427387903" );
+      ({|{"type":"tag","node":0,"block":-1,"before":"Invalid","after":"ReadOnly"}|}, "bad block");
+      ({|{"type":"tag","node":7,"block":0,"before":"Invalid","after":"ReadOnly"}|}, "bad node");
+    ]
+
 (* -- artifacts -------------------------------------------------------------- *)
 
 let with_failing_cex f =
@@ -362,6 +396,8 @@ let suite =
         Alcotest.test_case "SWMR break rejected with line number" `Quick
           test_replay_rejects_swmr_break;
         Alcotest.test_case "events before init rejected" `Quick test_replay_headerless;
+        Alcotest.test_case "forged node and word ranges rejected" `Quick
+          test_replay_rejects_forged_ranges;
       ] );
     ( "check.artifacts",
       [

@@ -23,13 +23,18 @@ let _ = ignore Ascii.table
 (* -- Fenwick vs brute force ------------------------------------------------ *)
 
 (* An op stream over a small key space so duplicates and re-references are
-   common; one value is reserved as a phase reset. *)
+   common; one value is reserved as a phase reset.  Each op repeats 1-4
+   times, so runs of the same key (the distance-0 fast path) meet resets
+   and the slot-space compaction. *)
 let reset_marker = 25
 
 let qcheck_fenwick =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:400 ~name:"stack distance: fenwick equals brute force"
-       QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 reset_marker))
+       QCheck2.Gen.(
+         map
+           (List.concat_map (fun (op, run) -> List.init run (fun _ -> op)))
+           (list_size (int_range 0 100) (pair (int_range 0 reset_marker) (int_range 1 4))))
        (fun ops ->
          let fast = Stack_dist.create () in
          let slow = Stack_dist.Naive.create () in
@@ -47,19 +52,23 @@ let qcheck_fenwick =
 
 (* A long deterministic trace (20k accesses over 300 keys) to push the
    Fenwick slot space through its in-place compaction, which short qcheck
-   traces never reach. *)
+   traces never reach.  About one access in three repeats the previous key,
+   and the first access after each reset always does, so repeated keys
+   straddle compactions and resets. *)
 let test_fenwick_compaction () =
   let fast = Stack_dist.create () in
   let slow = Stack_dist.Naive.create () in
   let state = ref 12345 in
+  let k = ref 0 in
   for i = 0 to 19_999 do
     state := ((!state * 1103515245) + 12721) land 0x3FFFFFFF;
-    let k = !state mod 300 in
     if i mod 4096 = 4095 then begin
       Stack_dist.reset fast;
       Stack_dist.Naive.reset slow
     end
     else begin
+      if !state mod 3 <> 0 && i mod 4096 <> 0 then k := (!state lsr 2) mod 300;
+      let k = !k in
       let df = Stack_dist.access fast k in
       let ds = Stack_dist.Naive.access slow k in
       if df <> ds then Alcotest.failf "access %d (key %d): fenwick %d, naive %d" i k df ds

@@ -273,7 +273,8 @@ let test_runner_matches_direct_run () =
 
 (* -- Server end-to-end ----------------------------------------------------- *)
 
-let with_server ?(domains = 2) ?(max_pending = 16) ?timeout_ms ?log ?(slow_ms = 0.0) f =
+let with_server ?(domains = 2) ?(max_pending = 16) ?timeout_ms ?log ?(slow_ms = 0.0)
+    ?(apps = tiny_apps) f =
   let path = Filename.temp_file "ccdsm-serve" ".sock" in
   Sys.remove path;
   let cfg =
@@ -285,7 +286,7 @@ let with_server ?(domains = 2) ?(max_pending = 16) ?timeout_ms ?log ?(slow_ms = 
       timeout_ms;
       log;
       slow_ms;
-      apps = Some tiny_apps;
+      apps = Some apps;
     }
   in
   let srv = Server.start cfg in
@@ -501,6 +502,54 @@ let test_serve_slow_log_roundtrip () =
                && contains l "\"status\":"))
             recs))
 
+let test_serve_slow_capture_failure () =
+  (* The app succeeds on its first run (the job) and raises on its second
+     (the slow-job capture re-run): the job is still answered, and the
+     failure is counted and logged with the job key and the exception. *)
+  let runs = Atomic.make 0 in
+  let flaky rt = if Atomic.fetch_and_add runs 1 = 0 then tiny_app rt else failwith "capture boom" in
+  let log = Filename.temp_file "ccdsm-serve" ".log" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove log with _ -> ())
+    (fun () ->
+      with_server ~log ~slow_ms:0.000001 ~apps:[ ("flaky", true, flaky) ] (fun srv path ->
+          let key =
+            match roundtrip path [ {|{"app":"flaky","protocol":"stache","nodes":4}|} ] with
+            | [ r ] ->
+                check Alcotest.bool "job answered" true (contains r "\"status\":\"ok\"");
+                let marker = "\"key\":\"" in
+                let rec find i =
+                  if String.sub r i (String.length marker) = marker then i + String.length marker
+                  else find (i + 1)
+                in
+                let start = find 0 in
+                String.sub r start (String.index_from r start '"' - start)
+            | _ -> Alcotest.fail "one response expected"
+          in
+          (* The capture runs after the answer is delivered; poll for it. *)
+          let counted = "ccdsm_serve_slow_capture_failures_total 1" in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            (not (contains (Server.metrics_text srv) counted)) && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.02
+          done;
+          check Alcotest.bool "failure counted" true (contains (Server.metrics_text srv) counted);
+          Server.stop srv;
+          let ic = open_in log in
+          let rec lines acc =
+            match input_line ic with l -> lines (l :: acc) | exception End_of_file -> List.rev acc
+          in
+          let recs = lines [] in
+          close_in ic;
+          check Alcotest.bool "failure logged with key and exception" true
+            (List.exists
+               (fun l ->
+                 contains l "\"event\":\"slow_capture_failed\""
+                 && contains l ("\"key\":\"" ^ key ^ "\"")
+                 && contains l "capture boom")
+               recs)))
+
 let suite =
   [
     ( "serve",
@@ -527,5 +576,7 @@ let suite =
         Alcotest.test_case "serve queue full" `Quick test_serve_queue_full;
         Alcotest.test_case "serve latency breakdown" `Quick test_serve_latency_breakdown;
         Alcotest.test_case "serve slow-log round-trip" `Quick test_serve_slow_log_roundtrip;
+        Alcotest.test_case "serve counts failed slow captures" `Quick
+          test_serve_slow_capture_failure;
       ] );
   ]

@@ -293,6 +293,104 @@ let test_sanitizer_diagnostics () =
       check Alcotest.bool "rendering includes event context" true
         (contains {|"type":"presend"|})
 
+(* Like [expect_violation], but the violation must name [check]. *)
+let expect_check name check_name f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected a %S violation" name check_name
+  | exception Sanitizer.Violation v -> check Alcotest.string name check_name v.Sanitizer.check
+
+let test_sanitizer_race_across_epochs () =
+  (* The race table is stamped with the barrier interval: node 1's write is
+     the first in the new interval, and node 0 writing again races with it. *)
+  let m = mk () in
+  let eng, _ = Engine.stache m in
+  ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+  let a = Machine.alloc m ~words:4 ~home:0 in
+  Machine.write m ~node:0 a 1.0;
+  Machine.barrier m ~bucket:Machine.Synch;
+  Machine.write m ~node:1 a 2.0;
+  expect_check "race in the second interval" "race" (fun () -> Machine.write m ~node:0 a 3.0)
+
+let test_sanitizer_dir_each_stable_point () =
+  (* Every stable-point kind checks the dirty set, not only the Barrier
+     that [test_sanitizer_dir_disagreement] uses. *)
+  List.iter
+    (fun (kind, stable_point) ->
+      let m = mk () in
+      let eng, _ = Engine.stache m in
+      ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+      let a = Machine.alloc m ~words:4 ~home:0 in
+      let b = Machine.block_of m a in
+      Machine.set_tag m ~node:0 b Tag.Read_only;
+      Machine.set_tag m ~node:1 b Tag.Read_only;
+      expect_check kind "directory" (fun () -> stable_point m a))
+    [
+      ("access", fun m a -> ignore (Machine.read m ~node:0 a));
+      ("phase_end", fun m _ -> Machine.emit m (Trace.Phase_end { phase = 0 }));
+      ("sched_flush", fun m _ -> Machine.emit m (Trace.Sched_flush { phase = 0 }));
+    ]
+
+let test_sanitizer_redirtied_block () =
+  (* A read miss dirties the block twice (the home's downgrade, the
+     reader's fill); the access checks it clean.  Dirtied again behind the
+     directory's back, it must be checked again at the next stable point. *)
+  let m = mk () in
+  let eng, _ = Engine.stache m in
+  ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+  let a = Machine.alloc m ~words:4 ~home:0 in
+  let b = Machine.block_of m a in
+  let changes = ref 0 in
+  Machine.subscribe m (function
+    | Trace.Tag_change { block; _ } when block = b -> incr changes
+    | _ -> ());
+  ignore (Machine.read m ~node:1 a);
+  check Alcotest.int "two tag changes before the access" 2 !changes;
+  Machine.set_tag m ~node:2 b Tag.Read_only;
+  expect_check "re-dirtied block" "directory" (fun () ->
+      Machine.emit m (Trace.Phase_end { phase = 0 }))
+
+let test_sanitizer_history_window () =
+  (* After more than [history_len] events the diagnostics carry exactly the
+     last 16, oldest first. *)
+  let m = mk () in
+  let s = Sanitizer.create m in
+  let records =
+    List.init 20 (fun block -> Trace.Sched_record { phase = 0; block; node = 1; write = false })
+  in
+  List.iter (Sanitizer.feed s) records;
+  let stale = Trace.Presend { phase = 9; block = 0; dst = 1; write = false } in
+  match Sanitizer.feed s stale with
+  | () -> Alcotest.fail "expected a presend violation"
+  | exception Sanitizer.Violation v ->
+      let expected = List.filteri (fun i _ -> i >= 5) records @ [ stale ] in
+      check
+        Alcotest.(list string)
+        "the last 16 events, oldest first"
+        (List.map Trace.to_json expected)
+        (List.map Trace.to_json v.Sanitizer.history)
+
+let test_sanitizer_rejects_bad_ranges () =
+  (* [feed] takes untrusted events: an index outside the machine is a
+     structured violation, never a table access. *)
+  let m = mk ~nodes:2 () in
+  ignore (Machine.alloc m ~words:4 ~home:0);
+  List.iter
+    (fun (name, check_name, ev) ->
+      let s = Sanitizer.create m in
+      expect_check name check_name (fun () -> Sanitizer.feed s ev))
+    [
+      ("node 99", "access", Trace.Access { node = 99; addr = -5; write = true; faulted = false });
+      ("negative word", "access", Trace.Access { node = 1; addr = -5; write = true; faulted = false });
+      ("word past the end", "access", Trace.Access { node = 0; addr = 4; write = false; faulted = false });
+      ("huge word", "access", Trace.Access { node = 1; addr = max_int; write = true; faulted = false });
+      ( "negative block", "tag",
+        Trace.Tag_change { node = 0; block = -1; before = Tag.Invalid; after = Tag.Read_only } );
+      ( "unallocated block", "tag",
+        Trace.Tag_change { node = 0; block = 1; before = Tag.Invalid; after = Tag.Read_only } );
+      ( "tag at node 2", "tag",
+        Trace.Tag_change { node = 2; block = 0; before = Tag.Invalid; after = Tag.Read_only } );
+    ]
+
 (* -- trace-replay oracle on the goldens ------------------------------------ *)
 
 (* Every checked-in golden must replay cleanly through the offline oracle:
@@ -426,5 +524,15 @@ let suite =
           test_sanitizer_race_reset_by_barrier;
         Alcotest.test_case "race check can be disabled" `Quick test_sanitizer_races_off;
         Alcotest.test_case "violation diagnostics" `Quick test_sanitizer_diagnostics;
+        Alcotest.test_case "race across barrier epochs" `Quick
+          test_sanitizer_race_across_epochs;
+        Alcotest.test_case "directory checked at every stable point" `Quick
+          test_sanitizer_dir_each_stable_point;
+        Alcotest.test_case "re-dirtied block checked again" `Quick
+          test_sanitizer_redirtied_block;
+        Alcotest.test_case "history holds the last 16 events" `Quick
+          test_sanitizer_history_window;
+        Alcotest.test_case "out-of-range events rejected" `Quick
+          test_sanitizer_rejects_bad_ranges;
       ] );
   ]
