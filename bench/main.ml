@@ -286,20 +286,6 @@ let test_presend_cached_sort =
           Schedule.iter_sorted s (fun b _ -> acc := !acc + b);
           ignore (Sys.opaque_identity !acc)))
 
-let test_rdist_record =
-  Test.make ~name:"micro-rdist-record"
-    (Staged.stage
-       (* One stack-distance update on a warm 512-key tree: the per-access
-          cost of the reuse-distance collector's Fenwick structure. *)
-       (let sd = Ccdsm_rdist.Stack_dist.create () in
-        for k = 0 to 511 do
-          ignore (Ccdsm_rdist.Stack_dist.access sd k)
-        done;
-        let i = ref 0 in
-        fun () ->
-          i := (!i * 7) + 13;
-          ignore (Sys.opaque_identity (Ccdsm_rdist.Stack_dist.access sd (!i land 511)))))
-
 (* Machine read with and without a collector attached: the profiled-flag
    overhead row (the off cost must stay at the micro-local-hit level). *)
 let profiled_read_pair () =
@@ -417,7 +403,6 @@ let tests =
       test_sharded_directory_hit;
       test_phase_step_1024;
       test_presend_cached_sort;
-      test_rdist_record;
       test_read_unprofiled;
       test_read_profiled;
       test_read_untimed;

@@ -280,7 +280,7 @@ let run_sweep full nodes jobs metrics protocols quick migratory_threshold valida
             exit 1
           end)
 
-(* -- reuse-distance profiling / analytical prediction ---------------------- *)
+(* -- first-touch profiling / analytical prediction ------------------------ *)
 
 let is_pow2_block b = b >= 8 && b land (b - 1) = 0
 
@@ -959,12 +959,12 @@ let validate_predictor_arg =
     & flag
     & info [ "validate-predictor" ]
         ~doc:
-          "Cross-validate the reuse-distance analytical predictor instead of \
+          "Cross-validate the first-touch replay predictor instead of \
            sweeping: one instrumented run per app x protocol drives the model \
            across the block-size grid and every prediction is checked against \
-           a full simulation (exact-integer agreement at the profiled block \
-           size, tolerance bands elsewhere).  Honors $(b,--quick); exits 1 on \
-           any violation.")
+           a full simulation (every segment's faults exact at every block \
+           size, all counters exact at the profiled block size, tolerance \
+           bands elsewhere).  Honors $(b,--quick); exits 1 on any violation.")
 
 let profile_app_arg =
   Arg.(
@@ -1116,7 +1116,7 @@ let cmds =
         const run_sweep $ full_arg $ nodes_arg $ jobs_term $ metrics_arg $ protocols_arg
         $ quick_arg $ migratory_threshold_arg $ validate_predictor_arg);
     cmd "profile"
-      "Collect a reuse-distance access profile from one instrumented run \
+      "Collect a first-touch access profile from one instrumented run \
        (--app), or summarize an existing profile JSON"
       Term.(
         const run_profile $ profile_app_arg $ profile_protocol_arg $ profile_block_arg

@@ -91,9 +91,9 @@ let collect_profile app ~block_bytes ~protocol =
    and simulator ever drift apart.  Teeth beyond the bands:
    - at the profiled block size, faults and presend grants must agree to
      the exact integer (the traffic residual is an identity there);
-   - segments whose reuse-distance histograms are all-cold (every block
-     access a first touch — infinite block reuse distance) have fault
-     counts pinned exactly at every block size. *)
+   - every segment's fault count is pinned exactly at every block size:
+     replaying a segment's first touches against the mirrored protocol
+     state reproduces its faults, so any drift is a model bug. *)
 let miss_band = 0.02
 let share_band = 0.05
 let traffic_band = 0.10
@@ -163,9 +163,6 @@ type cell = {
 }
 
 type report = { cells : cell list; pass : bool; text : string }
-
-let all_cold (s : Profile.segment) =
-  Array.for_all (fun (h : Profile.hist) -> Array.length h.Profile.buckets = 0) s.Profile.rdist
 
 let check_cell ~app ~protocol ~base_block ~block (pred : Model.prediction) (act : Profile.t) =
   let errors = ref [] in
@@ -241,9 +238,9 @@ let check_cell ~app ~protocol ~base_block ~block (pred : Model.prediction) (act 
         let sa = act.Profile.segments.(i) in
         if sp.Model.pname <> sa.Profile.name then
           err "segment %d name mismatch: %S vs %S" i sp.Model.pname sa.Profile.name;
-        if all_cold sa && sp.Model.read_faults + sp.Model.write_faults <> sa.Profile.a_faults then
-          err "all-cold segment %d (%s): %d predicted faults vs %d actual (exact agreement required)"
-            i sa.Profile.name
+        if sp.Model.read_faults + sp.Model.write_faults <> sa.Profile.a_faults then
+          err "segment %d (%s): %d predicted faults vs %d actual (exact agreement required)" i
+            sa.Profile.name
             (sp.Model.read_faults + sp.Model.write_faults)
             sa.Profile.a_faults)
       pred.Model.segs;
@@ -364,7 +361,7 @@ let validate ?(quick = false) ?(fudge_faults = 0) ?(fudge_wait_us = 0.0) () =
   in
   let text =
     Printf.sprintf
-      "Predictor cross-validation: one reuse-distance profile per app x protocol\n\
+      "Predictor cross-validation: one first-touch profile per app x protocol\n\
        (collected at %dB blocks) drives the analytical model across the block-size\n\
        grid; predicted faults / presend grants / traffic / wall clock vs a full\n\
        simulation of every point.  Predicted and actual agree at the profiled size\n\

@@ -1,4 +1,4 @@
-(** Cross-validation of the reuse-distance analytical predictor.
+(** Cross-validation of the first-touch replay predictor.
 
     One instrumented run per app x protocol collects a {!Ccdsm_rdist.Profile}
     at the base block size; {!Ccdsm_rdist.Model.predict} then predicts every
@@ -7,8 +7,7 @@
     metric (demand misses, presend share, traffic, predicted wall clock and
     its remote-wait/presend buckets) plus exact agreement where the theory
     demands it: at the profiled block size (integer counters, bit-for-bit
-    bucket times) and for segments whose reuse-distance histograms are
-    all-cold.
+    bucket times) and, at every block size, each segment's fault count.
 
     The [fudge_faults] and [fudge_wait_us] knobs deliberately corrupt the
     model (every segment's predicted read faults, or predicted remote-wait

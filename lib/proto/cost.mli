@@ -3,9 +3,9 @@
 
     Every message shape and microsecond price that the protocols charge
     ({!Engine}'s demand misses and invalidations, the predictive protocol's
-    presend) is defined here once, and the reuse-distance model (lib/rdist)
-    prices its replay from the same table, so a miss chain or a presend
-    flush cannot cost one thing in the simulator and another in the
+    presend) is defined here once, and the first-touch replay model
+    (lib/rdist) prices its replay from the same table, so a miss chain or a
+    presend flush cannot cost one thing in the simulator and another in the
     prediction.  Prices are built from {!Ccdsm_tempest.Network.msg_cost},
     the per-message primitive.  The module is pure: it describes messages
     and prices, and the caller counts and charges them. *)

@@ -7,23 +7,18 @@ type event =
   | Heap_alloc of { node : int; words : int; spilled : bool }
   | Flush of { fphase : int }
 
-type hist = { hnode : int; cold : int; buckets : int array }
-
 type segment = {
   seq : int;
   phase : int;
   name : string;
   record : bool;
   presend : bool;
-  reads : int;
-  writes : int;
   a_faults : int;
   a_msgs : int;
   a_bytes : int;
   a_presends : int;
   a_bucket_us : float array;
   events : event array;
-  rdist : hist array;
 }
 
 type t = {
@@ -44,23 +39,6 @@ let nmb = List.length machine_buckets
 
 (* -- collection --------------------------------------------------------- *)
 
-(* Finite reuse distances are log2-bucketed: bucket 0 holds distance 0,
-   bucket i >= 1 holds [2^(i-1), 2^i).  24 buckets cover 8M distinct blocks,
-   far beyond any simulated footprint. *)
-let nbuckets = 24
-
-let bucket_of d =
-  if d = 0 then 0
-  else begin
-    let b = ref 0 in
-    let d = ref d in
-    while !d > 0 do
-      incr b;
-      d := !d lsr 1
-    done;
-    min !b (nbuckets - 1)
-  end
-
 (* Internal event stream: packed 5-int cells [kind; a; b; c; d] so the hot
    path only bumps an int array.  kind 0 = read run (node, addr, stride,
    count), 1 = write run, 2 = raw alloc (words, home), 3 = heap alloc
@@ -72,8 +50,6 @@ type collector = {
   cprotocol : string;
   carena_blocks : int;
   nnodes : int;
-  wpb : int;
-  sd : Stack_dist.t array;  (* per node, over blocks, run-lifetime history *)
   mutable segs : segment list;  (* reversed *)
   mutable seq : int;
   mutable stack : (int * string * bool) list;  (* (id, name, scheduled) *)
@@ -85,8 +61,6 @@ type collector = {
   mutable cur_presend : bool;
   mutable ev : int array;
   mutable ev_len : int;
-  mutable reads : int;
-  mutable writes : int;
   seen : (int, unit) Hashtbl.t;  (* (addr, node, op) first-touch filter *)
   (* open access run *)
   mutable run_open : bool;
@@ -96,9 +70,6 @@ type collector = {
   mutable r_stride : int;
   mutable r_count : int;
   mutable r_last : int;
-  (* per-segment reuse-distance histograms *)
-  h_cold : int array;  (* per node *)
-  h_fin : int array;  (* node * nbuckets *)
   (* counter snapshots *)
   mutable base_faults : int;
   mutable base_msgs : int;
@@ -190,8 +161,6 @@ let open_segment c ~presend =
   c.cur_record <- record;
   c.cur_presend <- presend;
   c.ev_len <- 0;
-  c.reads <- 0;
-  c.writes <- 0;
   Hashtbl.reset c.seen;
   c.run_open <- false;
   let faults, msgs, bytes, presends = counters c in
@@ -215,23 +184,6 @@ let close_segment c =
   let faults, msgs, bytes, presends = counters c in
   let bt = bucket_sums c in
   let events = Array.init (c.ev_len / 5) (fun i -> Option.get (cell_event c.ev (i * 5))) in
-  let rdist = ref [] in
-  for node = c.nnodes - 1 downto 0 do
-    let nonzero = ref (c.h_cold.(node) > 0) in
-    let hi = ref (-1) in
-    for b = 0 to nbuckets - 1 do
-      if c.h_fin.((node * nbuckets) + b) > 0 then begin
-        nonzero := true;
-        hi := b
-      end
-    done;
-    if !nonzero then begin
-      let buckets = Array.init (!hi + 1) (fun b -> c.h_fin.((node * nbuckets) + b)) in
-      rdist := { hnode = node; cold = c.h_cold.(node); buckets } :: !rdist
-    end
-  done;
-  Array.fill c.h_cold 0 c.nnodes 0;
-  Array.fill c.h_fin 0 (c.nnodes * nbuckets) 0;
   let seg =
     {
       seq = c.seq;
@@ -239,15 +191,12 @@ let close_segment c =
       name = c.cur_name;
       record = c.cur_record;
       presend = c.cur_presend;
-      reads = c.reads;
-      writes = c.writes;
       a_faults = faults - c.base_faults;
       a_msgs = msgs - c.base_msgs;
       a_bytes = bytes - c.base_bytes;
       a_presends = presends - c.base_presends;
       a_bucket_us = Array.init nmb (fun i -> bt.(i) -. c.base_bucket.(i));
       events;
-      rdist = Array.of_list !rdist;
     }
   in
   c.seq <- c.seq + 1;
@@ -259,10 +208,6 @@ let close_segment c =
 
 let prof_access c ~node ~addr ~write =
   if not c.open_ then open_segment c ~presend:false;
-  if write then c.writes <- c.writes + 1 else c.reads <- c.reads + 1;
-  let d = Stack_dist.access c.sd.(node) (addr / c.wpb) in
-  if d < 0 then c.h_cold.(node) <- c.h_cold.(node) + 1
-  else c.h_fin.((node * nbuckets) + bucket_of d) <- c.h_fin.((node * nbuckets) + bucket_of d) + 1;
   (* First-touch filter: only the first (node, word, op) access of a segment
      can change coherence state, so only it enters the event stream. *)
   let op = if write then 1 else 0 in
@@ -345,8 +290,6 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
       cprotocol = protocol;
       carena_blocks = arena_blocks;
       nnodes;
-      wpb = Machine.words_per_block machine;
-      sd = Array.init nnodes (fun _ -> Stack_dist.create ());
       segs = [];
       seq = 0;
       stack = [];
@@ -357,8 +300,6 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
       cur_presend = false;
       ev = Array.make 1024 0;
       ev_len = 0;
-      reads = 0;
-      writes = 0;
       seen = Hashtbl.create 4096;
       run_open = false;
       r_node = 0;
@@ -367,8 +308,6 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
       r_stride = 0;
       r_count = 0;
       r_last = 0;
-      h_cold = Array.make nnodes 0;
-      h_fin = Array.make (nnodes * nbuckets) 0;
       base_faults = 0;
       base_msgs = 0;
       base_bytes = 0;
@@ -446,7 +385,7 @@ let bucket_us_json b a =
 
 let to_json p =
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"version\":2,\"app\":";
+  Buffer.add_string b "{\"version\":3,\"app\":";
   Buffer.add_string b (Json.quote p.app);
   Buffer.add_string b ",\"protocol\":";
   Buffer.add_string b (Json.quote p.protocol);
@@ -463,7 +402,6 @@ let to_json p =
       Printf.bprintf b "{\"seq\":%d,\"phase\":%d,\"name\":" s.seq s.phase;
       Buffer.add_string b (Json.quote s.name);
       Printf.bprintf b ",\"record\":%b,\"presend\":%b" s.record s.presend;
-      Printf.bprintf b ",\"reads\":%d,\"writes\":%d" s.reads s.writes;
       Printf.bprintf b ",\"faults\":%d,\"msgs\":%d,\"bytes\":%d,\"presends\":%d" s.a_faults s.a_msgs
         s.a_bytes s.a_presends;
       Buffer.add_string b ",\"bucket_us\":";
@@ -480,14 +418,6 @@ let to_json p =
               Printf.bprintf b "3,%d,%d,%d,0" node words (if spilled then 1 else 0)
           | Flush { fphase } -> Printf.bprintf b "4,%d,0,0,0" fphase)
         s.events;
-      Buffer.add_string b "],\"rdist\":[";
-      Array.iteri
-        (fun j h ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "[%d,%d" h.hnode h.cold;
-          Array.iter (fun n -> Printf.bprintf b ",%d" n) h.buckets;
-          Buffer.add_char b ']')
-        s.rdist;
       Buffer.add_string b "]}")
     p.segments;
   Buffer.add_string b "]}\n";
@@ -511,41 +441,20 @@ let decode_events cells =
     | Some i -> Error (Printf.sprintf "unknown event kind %d" a.(i * 5))
     | None -> Ok (Array.map Option.get evs)
 
-let decode_hist j =
-  match Json.(list int) j with
-  | Ok (hnode :: cold :: buckets) -> Ok { hnode; cold; buckets = Array.of_list buckets }
-  | _ -> Error "expected [node, cold, buckets...]"
-
 let decode_segment j =
   let int key = Json.(field key int) j and bool key = Json.(field key bool) j in
   let* seq = int "seq" and* phase = int "phase" and* name = Json.(field "name" string) j
-  and* record = bool "record" and* presend = bool "presend" and* reads = int "reads"
-  and* writes = int "writes" and* a_faults = int "faults" and* a_msgs = int "msgs"
-  and* a_bytes = int "bytes" and* a_presends = int "presends" and* a_bucket_us = bucket_us j
-  and* events = Json.(field "ev" (fun v -> Result.bind (list int v) decode_events)) j
-  and* rdist = Json.(field "rdist" (list decode_hist)) j in
+  and* record = bool "record" and* presend = bool "presend" and* a_faults = int "faults"
+  and* a_msgs = int "msgs" and* a_bytes = int "bytes" and* a_presends = int "presends"
+  and* a_bucket_us = bucket_us j
+  and* events = Json.(field "ev" (fun v -> Result.bind (list int v) decode_events)) j in
   Ok
-    {
-      seq;
-      phase;
-      name;
-      record;
-      presend;
-      reads;
-      writes;
-      a_faults;
-      a_msgs;
-      a_bytes;
-      a_presends;
-      a_bucket_us;
-      events;
-      rdist = Array.of_list rdist;
-    }
+    { seq; phase; name; record; presend; a_faults; a_msgs; a_bytes; a_presends; a_bucket_us; events }
 
 let decode j =
   let int key = Json.(field key int) j in
   let* version = int "version" in
-  if version <> 2 then Error (Printf.sprintf "unsupported profile version %d" version)
+  if version <> 3 then Error (Printf.sprintf "unsupported profile version %d" version)
   else
     let* app = Json.(field "app" string) j and* protocol = Json.(field "protocol" string) j
     and* nodes = int "nodes" and* block_bytes = int "block_bytes"

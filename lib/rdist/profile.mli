@@ -1,8 +1,8 @@
-(** Reuse-distance access profiles: collection and canonical JSON.
+(** First-touch access profiles: collection and canonical JSON.
 
     A profile is everything the analytical model ({!Model}) needs to predict
     a run's per-phase coherence behaviour at {e any} block size from one
-    instrumented execution:
+    instrumented execution, and nothing else:
 
     - the interleaved allocation stream — raw {!Ccdsm_tempest.Machine.alloc}
       calls and logical shared-heap requests — so the block layout can be
@@ -10,9 +10,7 @@
     - per flat phase segment, the ordered first-touch access events (one per
       distinct (node, word, read/write) triple, run-length compressed), which
       determine the run's coherence faults exactly because parallel phases
-      execute node-major in a deterministic order;
-    - per segment and node, reuse-distance histograms over cache blocks at
-      the profiled geometry ({!Stack_dist}); and
+      execute node-major in a deterministic order; and
     - the profiled run's actual per-segment counter deltas (faults, messages,
       bytes, presend grants) and per-segment time-bucket deltas (summed over
       nodes, microseconds), which anchor cross-validation, supply the
@@ -38,19 +36,12 @@ type event =
   | Heap_alloc of { node : int; words : int; spilled : bool }
   | Flush of { fphase : int }  (** the app discarded this phase's schedule *)
 
-type hist = { hnode : int; cold : int; buckets : int array }
-(** Reuse-distance histogram of one node's block accesses within a segment:
-    [cold] first touches plus log2-bucketed finite distances (bucket 0 is
-    distance 0, bucket [i >= 1] covers distances [2^(i-1) .. 2^i - 1]). *)
-
 type segment = {
   seq : int;
   phase : int;  (** recording phase id; -1 when none *)
   name : string;
   record : bool;  (** a scheduled phase is active (schedule recording on) *)
   presend : bool;  (** segment begins with the scheduled phase's presend *)
-  reads : int;  (** total read accesses (not just first touches) *)
-  writes : int;
   a_faults : int;  (** actuals: machine counter deltas over the segment *)
   a_msgs : int;
   a_bytes : int;
@@ -59,7 +50,6 @@ type segment = {
       (** time-bucket deltas over the segment, summed over nodes, in
           [Machine.all_buckets] order (microseconds) *)
   events : event array;
-  rdist : hist array;
 }
 
 type t = {
@@ -112,6 +102,8 @@ val to_json : t -> string
     reloads bit-for-bit.  Byte-stable: equal profiles encode identically. *)
 
 val of_json : string -> (t, string) result
+(** Decode a version-3 profile; any other [version] is an error naming it. *)
+
 val save : string -> t -> unit
 val load : string -> (t, string) result
 (** [load path] reads and decodes; [Error] has a one-line message for a

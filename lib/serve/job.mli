@@ -19,7 +19,7 @@
 type spec = {
   kind : [ `Sim | `Predict | `Timeline ];
       (** ["sim"] (default) runs the simulation; ["predict"] answers from
-          the reuse-distance analytical model ({!Ccdsm_rdist.Model}) using a
+          the first-touch replay model ({!Ccdsm_rdist.Model}) using a
           per-(app, nodes, scale) profile cached daemon-side — cold builds
           the profile with one instrumented run, warm is microseconds.
           Predict keys live in their own ["predict:"] cache namespace.

@@ -81,7 +81,7 @@ let prepare ?apps (spec : Job.spec) =
                     Ok (Predict { p_spec = spec; p_app_name = app_name; p_run_app = run_app; p_protocol }))))
 
 (* -- profile / prediction cache --------------------------------------------
-   One reuse-distance profile per (app, nodes, scale), collected under the
+   One first-touch profile per (app, nodes, scale), collected under the
    baseline protocol at the base block size by a single instrumented run.
    The first predict job against a profile compiles a {!Model.predictor}
    and evaluates it over {e every} block size job validation admits (the

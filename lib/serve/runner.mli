@@ -4,8 +4,8 @@
     protocol ({!Ccdsm_harness.Proto_diff.run}), which is exactly what
     [repro sweep] does per cell — so a serve result is byte-comparable with
     a direct sweep of the same configuration.  Predict jobs answer from the
-    reuse-distance analytical model ({!Ccdsm_rdist.Model}) instead: the
-    daemon keeps one profile per (app, nodes, scale), collected by a single
+    first-touch replay model ({!Ccdsm_rdist.Model}) instead: the daemon
+    keeps one profile per (app, nodes, scale), collected by a single
     instrumented baseline run the first time it is needed, compiles it to a
     {!Ccdsm_rdist.Model.predictor} and evaluates every block size job
     validation admits up front — so a warm what-if is answered from a
@@ -46,7 +46,7 @@ val result_json : Ccdsm_harness.Proto_diff.report -> string
     row). *)
 
 val profile_count : unit -> int
-(** Number of reuse-distance profiles currently cached for predict jobs
+(** Number of first-touch profiles currently cached for predict jobs
     (exported as a gauge on the daemon's [/metrics]). *)
 
 (** {2 Slow-job timeline ring}

@@ -59,7 +59,7 @@ type handlers = {
   on_write_fault : node:int -> block -> unit;
 }
 
-(* Access-profiling hook (the reuse-distance collector).  A third observer
+(* Access-profiling hook (the first-touch profile collector).  A third observer
    family next to [tracers] and [meters], with the same contract: a single
    [profiled] flag is checked on the hot paths and nothing else happens when
    it is off.  Unlike tracing, profiling is pure observation — it never

@@ -135,7 +135,7 @@ val metered : t -> bool
 (** {1 Access profiling}
 
     The third observer family next to tracing and metering, used by the
-    reuse-distance profile collector ([Ccdsm_rdist]): one callback per
+    first-touch profile collector ([Ccdsm_rdist]): one callback per
     completed data access, allocation, heap allocation and runtime phase
     transition.  The same pay-for-what-you-use rule applies — with no
     profiler installed the hot paths only test one flag — and unlike

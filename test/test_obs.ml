@@ -302,11 +302,17 @@ let test_trace_metrics_agree () =
          Obs.set_global None;
          Trace.set_global None)
        (fun () -> Measure.measure ~num_nodes:4 ~app:"water" (water_version "w" Runtime.Predictive)));
-  let path = "tmp_trace_metrics.jsonl" in
-  let oc = open_out_bin path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  match Trace_metrics.of_file path with
+  let path = Filename.temp_file "ccdsm-trace" ".jsonl" in
+  let derived =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        output_string oc (Buffer.contents buf);
+        close_out oc;
+        Trace_metrics.of_file path)
+  in
+  match derived with
   | Error e -> fail e
   | Ok derived ->
       let d = Obs.Registry.snapshot derived and live = Obs.Registry.snapshot reg in
@@ -335,13 +341,16 @@ let test_trace_metrics_errors () =
   (match Trace_metrics.of_file "does_not_exist.jsonl" with
   | Error _ -> ()
   | Ok _ -> fail "missing file accepted");
-  let path = "tmp_bad_trace.jsonl" in
-  let oc = open_out_bin path in
-  output_string oc "this is not json\n";
-  close_out oc;
-  match Trace_metrics.of_file path with
-  | Error msg -> check bool "error names the parse failure" true (String.length msg > 0)
-  | Ok _ -> fail "garbage accepted"
+  let path = Filename.temp_file "ccdsm-bad-trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc "this is not json\n";
+      close_out oc;
+      match Trace_metrics.of_file path with
+      | Error msg -> check bool "error names the parse failure" true (String.length msg > 0)
+      | Ok _ -> fail "garbage accepted")
 
 let suite =
   [

@@ -1,80 +1,21 @@
-(* Reuse-distance predictor suite: the Fenwick stack-distance collector
-   differentially pinned against a brute-force LRU stack, profile
-   byte-stability across step-job counts, the profile JSON golden, predict
-   determinism, and the cross-validation harness's positive and negative
-   pins (a perturbed model constant must fail — the oracle has teeth).
+(* First-touch replay predictor suite: profile byte-stability across
+   step-job counts, the profile JSON golden, predict determinism, the
+   model's per-segment agreement with real runs, and the cross-validation
+   harness's positive and negative pins (a perturbed model constant must
+   fail — the oracle has teeth).
 
    To update the profile golden:
      CCDSM_UPDATE_GOLDEN=1 dune runtest
      cp _build/default/test/golden-new/*.profile.json test/golden/ *)
 
-open Ccdsm_util
 module Machine = Ccdsm_tempest.Machine
 module Runtime = Ccdsm_runtime.Runtime
 module Shared_heap = Ccdsm_runtime.Shared_heap
-module Stack_dist = Ccdsm_rdist.Stack_dist
 module Profile = Ccdsm_rdist.Profile
 module Model = Ccdsm_rdist.Model
 module PC = Ccdsm_harness.Predict_check
 
 let check = Alcotest.check
-let _ = ignore Ascii.table
-
-(* -- Fenwick vs brute force ------------------------------------------------ *)
-
-(* An op stream over a small key space so duplicates and re-references are
-   common; one value is reserved as a phase reset.  Each op repeats 1-4
-   times, so runs of the same key (the distance-0 fast path) meet resets
-   and the slot-space compaction. *)
-let reset_marker = 25
-
-let qcheck_fenwick =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:400 ~name:"stack distance: fenwick equals brute force"
-       QCheck2.Gen.(
-         map
-           (List.concat_map (fun (op, run) -> List.init run (fun _ -> op)))
-           (list_size (int_range 0 100) (pair (int_range 0 reset_marker) (int_range 1 4))))
-       (fun ops ->
-         let fast = Stack_dist.create () in
-         let slow = Stack_dist.Naive.create () in
-         List.for_all
-           (fun op ->
-             if op = reset_marker then begin
-               Stack_dist.reset fast;
-               Stack_dist.Naive.reset slow;
-               true
-             end
-             else
-               Stack_dist.access fast op = Stack_dist.Naive.access slow op
-               && Stack_dist.distinct fast = Stack_dist.Naive.distinct slow)
-           ops))
-
-(* A long deterministic trace (20k accesses over 300 keys) to push the
-   Fenwick slot space through its in-place compaction, which short qcheck
-   traces never reach.  About one access in three repeats the previous key,
-   and the first access after each reset always does, so repeated keys
-   straddle compactions and resets. *)
-let test_fenwick_compaction () =
-  let fast = Stack_dist.create () in
-  let slow = Stack_dist.Naive.create () in
-  let state = ref 12345 in
-  let k = ref 0 in
-  for i = 0 to 19_999 do
-    state := ((!state * 1103515245) + 12721) land 0x3FFFFFFF;
-    if i mod 4096 = 4095 then begin
-      Stack_dist.reset fast;
-      Stack_dist.Naive.reset slow
-    end
-    else begin
-      if !state mod 3 <> 0 && i mod 4096 <> 0 then k := (!state lsr 2) mod 300;
-      let k = !k in
-      let df = Stack_dist.access fast k in
-      let ds = Stack_dist.Naive.access slow k in
-      if df <> ds then Alcotest.failf "access %d (key %d): fenwick %d, naive %d" i k df ds
-    end
-  done;
-  check Alcotest.int "distinct" (Stack_dist.Naive.distinct slow) (Stack_dist.distinct fast)
 
 (* -- profile stability ----------------------------------------------------- *)
 
@@ -91,20 +32,29 @@ let collect_jacobi ~step_jobs =
   profile
 
 (* Parallel phase steps execute node-major in a deterministic order at any
-   job count, so the collected profile — events, histograms, actuals — must
-   be byte-identical at --jobs 1 and 4. *)
+   job count, so the collected profile — events and actuals — must be
+   byte-identical at --jobs 1 and 4. *)
 let test_profile_jobs_stable () =
   let p1 = Profile.to_json (collect_jacobi ~step_jobs:1) in
   let p4 = Profile.to_json (collect_jacobi ~step_jobs:4) in
   check Alcotest.(list string) "profile bytes, jobs 1 vs 4"
     (String.split_on_char '\n' p1) (String.split_on_char '\n' p4)
 
+(* Decoding re-encodes to the same bytes; the same document under any other
+   version number is rejected, by name. *)
 let test_profile_json_roundtrip () =
   let p = collect_jacobi ~step_jobs:1 in
   let json = Profile.to_json p in
-  match Profile.of_json json with
+  (match Profile.of_json json with
   | Error msg -> Alcotest.failf "round-trip decode failed: %s" msg
-  | Ok p' -> check Alcotest.string "re-encoded bytes" json (Profile.to_json p')
+  | Ok p' -> check Alcotest.string "re-encoded bytes" json (Profile.to_json p'));
+  let v3 = "{\"version\":3," in
+  let n = String.length v3 in
+  check Alcotest.string "encoded version" v3 (String.sub json 0 n);
+  let v2 = "{\"version\":2," ^ String.sub json n (String.length json - n) in
+  match Profile.of_json v2 with
+  | Ok _ -> Alcotest.fail "version-2 profile accepted"
+  | Error msg -> check Alcotest.string "version 2" "invalid profile: unsupported profile version 2" msg
 
 (* -- golden ---------------------------------------------------------------- *)
 
@@ -261,10 +211,15 @@ let segment_mismatch (app : PC.app) =
       | Ok pr -> List.find_map (fun block -> check_point protocol block pr) [ 8; 64; 256 ])
     [ Model.Stache; Model.Predictive { coalesce = true; conflict_action = `Ignore } ]
 
-let test_segments_match_jacobi () =
-  match segment_mismatch (jacobi_app ()) with
-  | None -> ()
-  | Some msg -> Alcotest.fail msg
+(* On the validation apps as well as random programs: this is what makes
+   Predict_check's exact per-segment fault check an invariant. *)
+let test_segments_match_apps () =
+  List.iter
+    (fun (app : PC.app) ->
+      match segment_mismatch app with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" app.PC.app_name msg)
+    (PC.apps ())
 
 let qcheck_segments_match_programs =
   QCheck_alcotest.to_alcotest
@@ -288,8 +243,6 @@ let suite =
   [
     ( "rdist",
       [
-        qcheck_fenwick;
-        Alcotest.test_case "fenwick compaction vs brute force" `Quick test_fenwick_compaction;
         Alcotest.test_case "profile byte-stable at jobs 1 vs 4" `Quick test_profile_jobs_stable;
         Alcotest.test_case "profile JSON round-trip" `Quick test_profile_json_roundtrip;
         Alcotest.test_case "golden: jacobi stache profile" `Quick test_golden_profile;
@@ -300,7 +253,8 @@ let suite =
         Alcotest.test_case "perturbed model fails validation" `Slow test_validate_perturbed_fails;
         Alcotest.test_case "wait-perturbed model fails validation" `Slow
           test_validate_wall_perturbed_fails;
-        Alcotest.test_case "model segments = real runs on jacobi" `Quick test_segments_match_jacobi;
+        Alcotest.test_case "model segments = real runs on the validation apps" `Slow
+          test_segments_match_apps;
         qcheck_segments_match_programs;
       ] );
   ]
