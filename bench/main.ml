@@ -286,68 +286,41 @@ let test_presend_cached_sort =
           Schedule.iter_sorted s (fun b _ -> acc := !acc + b);
           ignore (Sys.opaque_identity !acc)))
 
-(* Machine read with and without a collector attached: the profiled-flag
-   overhead row (the off cost must stay at the micro-local-hit level). *)
-let profiled_read_pair () =
-  let mk profiled =
-    let m = Machine.create (small_machine ()) in
-    let _ = Ccdsm_proto.Engine.stache m in
-    let a = Machine.alloc m ~words:512 ~home:0 in
-    if profiled then
-      ignore
-        (Ccdsm_rdist.Profile.attach ~app:"bench" ~protocol:"stache" ~arena_blocks:64 m);
-    let i = ref 0 in
-    fun () ->
-      incr i;
-      ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (!i land 511))))
-  in
-  ( Test.make ~name:"micro-read-unprofiled" (Staged.stage (mk false)),
-    Test.make ~name:"micro-read-profiled" (Staged.stage (mk true)) )
+(* A read or write hit on a stache machine after [attach] (given the machine
+   and its engine): the observer rows.  With nothing attached a read must
+   cost the micro-local-hit level, the one-flag hot path; the sanitized rows
+   are the checked access path every served simulation, sweep cell and
+   fault-grid row runs (a stable point on the dirty set and, for the write,
+   the race-table stamp). *)
+let observed_hit ~name ~write attach =
+  Test.make ~name
+    (Staged.stage
+       (let m = Machine.create (small_machine ()) in
+        let eng, _ = Ccdsm_proto.Engine.stache m in
+        let a = Machine.alloc m ~words:512 ~home:0 in
+        attach m eng;
+        let i = ref 0 in
+        if write then fun () ->
+          incr i;
+          Machine.write m ~node:0 (a + (!i land 511)) 1.0
+        else fun () ->
+          incr i;
+          ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (!i land 511))))))
 
-let test_read_unprofiled, test_read_profiled = profiled_read_pair ()
+let sanitize m eng = ignore (Ccdsm_proto.Sanitizer.attach ~dir:eng.Ccdsm_proto.Engine.dir m)
 
-(* The same off/on pair for the timeline collector: with no sink installed a
-   machine read must cost the micro-local-hit level (the immediate-flag hot
-   path), and the recorded row prices what a collector-attached read pays
-   (trace emission + charge-hook accounting). *)
-let timeline_read_pair () =
-  let mk timed =
-    let m = Machine.create (small_machine ()) in
-    let _ = Ccdsm_proto.Engine.stache m in
-    let a = Machine.alloc m ~words:512 ~home:0 in
-    if timed then ignore (Ccdsm_tempest.Timecap.attach m);
-    let i = ref 0 in
-    fun () ->
-      incr i;
-      ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (!i land 511))))
-  in
-  ( Test.make ~name:"micro-read-untimed" (Staged.stage (mk false)),
-    Test.make ~name:"micro-timeline-record" (Staged.stage (mk true)) )
+let test_read_unprofiled = observed_hit ~name:"micro-read-unprofiled" ~write:false (fun _ _ -> ())
 
-let test_read_untimed, test_timeline_record = timeline_read_pair ()
+let test_read_profiled =
+  observed_hit ~name:"micro-read-profiled" ~write:false (fun m _ ->
+      ignore (Ccdsm_rdist.Profile.attach ~app:"bench" ~protocol:"stache" ~arena_blocks:64 m))
 
-(* A read hit and a write hit with the online sanitizer subscribed, as every
-   served simulation, sweep cell and fault-grid row runs: the checked
-   access path (a stable point on the dirty set) and, for the write, the
-   race-table stamp.  Compare with micro-local-hit. *)
-let sanitized_pair () =
-  let mk write =
-    let m = Machine.create (small_machine ()) in
-    let eng, _ = Ccdsm_proto.Engine.stache m in
-    ignore (Ccdsm_proto.Sanitizer.attach ~dir:eng.Ccdsm_proto.Engine.dir m);
-    let a = Machine.alloc m ~words:512 ~home:0 in
-    let i = ref 0 in
-    if write then fun () ->
-      incr i;
-      Machine.write m ~node:0 (a + (!i land 511)) 1.0
-    else fun () ->
-      incr i;
-      ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (!i land 511))))
-  in
-  ( Test.make ~name:"micro-read-sanitized" (Staged.stage (mk false)),
-    Test.make ~name:"micro-write-sanitized" (Staged.stage (mk true)) )
+let test_timeline_record =
+  observed_hit ~name:"micro-timeline-record" ~write:false (fun m _ ->
+      ignore (Ccdsm_tempest.Timecap.attach m))
 
-let test_read_sanitized, test_write_sanitized = sanitized_pair ()
+let test_read_sanitized = observed_hit ~name:"micro-read-sanitized" ~write:false sanitize
+let test_write_sanitized = observed_hit ~name:"micro-write-sanitized" ~write:true sanitize
 
 let test_predict_point =
   Test.make ~name:"micro-predict-point"
@@ -405,7 +378,6 @@ let tests =
       test_presend_cached_sort;
       test_read_unprofiled;
       test_read_profiled;
-      test_read_untimed;
       test_timeline_record;
       test_read_sanitized;
       test_write_sanitized;

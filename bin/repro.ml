@@ -165,7 +165,7 @@ let jobs_arg =
           "Run up to $(docv) independent simulated versions concurrently on \
            OCaml domains (default: $(b,CCDSM_JOBS) or the available cores; \
            output is byte-identical at any job count).  Forced to 1 while \
-           $(b,--trace) is active.")
+           $(b,--trace) or $(b,--metrics) is active.")
 
 (* Every command validates --jobs through the shared cap at argument-
    evaluation time. *)

@@ -274,7 +274,7 @@ let corrupt sys ~retarget =
           match retarget with
           | None ->
               Schedule.remove s b;
-              if Machine.traced sys.machine then
+              if Machine.observed sys.machine then
                 Machine.emit sys.machine (Trace.Sched_corrupt { phase = 0; block = b; node = None })
           | Some victim ->
               let mark =
@@ -285,7 +285,7 @@ let corrupt sys ~retarget =
                 else Schedule.Readers (Nodeset.singleton victim)
               in
               Schedule.set_mark s b mark;
-              if Machine.traced sys.machine then
+              if Machine.observed sys.machine then
                 Machine.emit sys.machine
                   (Trace.Sched_corrupt { phase = 0; block = b; node = Some victim }))
       | _ -> ())

@@ -72,7 +72,7 @@ let record t ~node b ~write =
            below doubles as the incremental schedule repair. *)
         Hashtbl.remove t.lost (node, b);
         Machine.note_presend_fallback t.machine ~node;
-        if Machine.traced t.machine then
+        if Machine.observed t.machine then
           Machine.emit t.machine (Trace.Presend_fallback { phase = p; block = b; node; write })
       end;
       Machine.charge t.machine ~node Machine.Remote_wait Cost.record_us;
@@ -80,7 +80,7 @@ let record t ~node b ~write =
       let conflicts_before = Schedule.conflicts s in
       let hits_before = Schedule.conflict_hits s in
       if write then Schedule.record_write s b ~writer:node else Schedule.record_read s b ~reader:node;
-      if Machine.traced t.machine then begin
+      if Machine.observed t.machine then begin
         Machine.emit t.machine (Trace.Sched_record { phase = p; block = b; node; write });
         (* [conflicts] now counts every colliding insertion; the trace event
            stays transition-only (hits on an already-conflicted block leave
@@ -196,7 +196,7 @@ let scan t ~phase sched ~shard =
     Machine.charge m ~node:h Machine.Presend (Network.msg_cost (Machine.net m) ~bytes);
     t.st.presend_msgs <- t.st.presend_msgs + 1;
     t.st.presend_bytes <- t.st.presend_bytes + bytes;
-    if Machine.traced m then Machine.emit m (Trace.Msg_drop { src = h; dst; kind });
+    if Machine.observed m then Machine.emit m (Trace.Msg_drop { src = h; dst; kind });
     Hashtbl.replace t.lost (dst, b) ()
   in
   (* Duplicate / Delay side effects for a delivered grant; Deliver is free. *)
@@ -251,7 +251,7 @@ let scan t ~phase sched ~shard =
                          trace-derived count agrees with this counter to
                          the exact integer. *)
                       p.grants_r <- p.grants_r + 1;
-                      if Machine.traced m then
+                      if Machine.observed m then
                         Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
                       if r <> h then Cost.push p.q.data (h, r) b)
                 missing;
@@ -288,7 +288,7 @@ let scan t ~phase sched ~shard =
                   Machine.set_tag m ~node:w b Tag.Read_write;
                   note_granted t p (w, b);
                   p.grants_w <- p.grants_w + 1;
-                  if Machine.traced m then
+                  if Machine.observed m then
                     Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
                   (if w <> h then
                      if had_copy then Cost.bump p.q.grant (h, w) else Cost.push p.q.data (h, w) b);
@@ -298,10 +298,10 @@ let scan t ~phase sched ~shard =
   p
 
 (* Presend dispatch.  With step parallelism asked for and the run
-   fault-free, untraced and unmetered (instrument bumps are not
-   thread-safe), the scan splits across domains by directory shard.
-   Everything a shard scan mutates concurrently is shard-exclusive — tags
-   and directory entries are block-local and a block's shard is a pure
+   fault-free, unobserved and unmetered (observer calls and instrument
+   bumps are not thread-safe), the scan splits across domains by directory
+   shard.  Everything a shard scan mutates concurrently is shard-exclusive —
+   tags and directory entries are block-local and a block's shard is a pure
    function of its home; Presend charges land on home nodes of the owning
    shard — and the plans are folded in sequentially in shard order, so the
    output is byte-identical to the one-domain scan at any job count (pinned
@@ -316,8 +316,8 @@ let presend t phase =
       let plans =
         if
           jobs > 1
-          && (not (Machine.traced m))
-          && (not (Machine.metered m))
+          && (not (Machine.observed m))
+          && Option.is_none (Machine.obs m)
           && Option.is_none (Machine.faults m)
         then begin
           (* Force the schedule's sorted-key cache on this domain, so the
@@ -372,7 +372,7 @@ let corrupt_schedule t phase =
             let b = Schedule.nth_sorted s (Faults.draw_int f (Schedule.cardinal s)) in
             if Faults.draw_bool f then begin
               Schedule.remove s b;
-              if Machine.traced m then
+              if Machine.observed m then
                 Machine.emit m (Trace.Sched_corrupt { phase; block = b; node = None })
             end
             else begin
@@ -382,7 +382,7 @@ let corrupt_schedule t phase =
                 else Schedule.Readers (Nodeset.singleton victim)
               in
               Schedule.set_mark s b mark;
-              if Machine.traced m then
+              if Machine.observed m then
                 Machine.emit m (Trace.Sched_corrupt { phase; block = b; node = Some victim })
             end
         | _ -> ())

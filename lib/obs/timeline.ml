@@ -100,17 +100,6 @@ let add_fill t ~node ~bucket ~us =
   t.tot.(i) <- t.tot.(i) +. us;
   t.acc_fill.(node) <- t.acc_fill.(node) +. us
 
-let add_compute t ~node ~us ~count =
-  (* One addition per simulated word access: replays the machine's
-     left-associated compute charges so totals stay bit-identical. *)
-  let i = node * t.nb in
-  for _ = 1 to count do
-    t.tot.(i) <- t.tot.(i) +. us
-  done;
-  for _ = 1 to count do
-    t.acc.(i) <- t.acc.(i) +. us
-  done
-
 let add_kind_cost t ~node ~kind ~cost =
   let i = (node * t.nk) + kind in
   t.acc_kind.(i) <- t.acc_kind.(i) +. cost

@@ -82,10 +82,6 @@ val add_fill : t -> node:int -> bucket:int -> us:float -> unit
     segment's [fill] row instead of [node_bucket] — critical paths must not
     see the barrier equalize every node's time. *)
 
-val add_compute : t -> node:int -> us:float -> count:int -> unit
-(** [count] repeated additions of [us] to bucket 0 — replays the machine's
-    word-at-a-time compute charges exactly. *)
-
 val add_kind_cost : t -> node:int -> kind:int -> cost:float -> unit
 
 val seal : t -> label:string -> t1:float -> unit

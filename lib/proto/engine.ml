@@ -74,7 +74,8 @@ let exchange t ~bucket ~payer ~block legs ~cost =
           Machine.note_retry m ~node:payer;
           Machine.charge m ~node:payer bucket
             (plan.Faults.timeout_us *. float_of_int (1 lsl (k - 1)));
-          if Machine.traced m then Machine.emit m (Trace.Retry { node = payer; block; attempt = k });
+          if Machine.observed m then
+            Machine.emit m (Trace.Retry { node = payer; block; attempt = k });
           attempt (k + 1)
         end
       in

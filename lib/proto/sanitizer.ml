@@ -22,7 +22,8 @@ let to_string v =
   Buffer.contents b
 
 (* Ring buffer of the most recent events, for violation diagnostics; a
-   power of two so the slot is a mask. *)
+   power of two so the slot is a mask.  Completed accesses, most of the
+   stream, are kept unboxed. *)
 let history_len = 16
 
 (* The dirty set and the race table are flat arrays indexed by block and
@@ -51,17 +52,36 @@ type t = {
          incrementally from Tag_change events.  [dirty] cannot serve here —
          it is emptied at every stable point, while the multi-writer window
          of a commutative phase spans many of them. *)
-  history : Trace.event array;
+  history : Trace.event array;  (* per slot: a boxed event, unless [acc] holds an access *)
+  acc : int array;
+      (* per slot [i], an unboxed access: [acc.(2i)] is its node (-1 for a
+         boxed slot), [acc.(2i+1)] its [addr lsl 2 lor faulted lsl 1 lor write] *)
   mutable hist_next : int;  (* events seen so far *)
 }
 
 let remember t ev =
-  Array.unsafe_set t.history (t.hist_next land (history_len - 1)) ev;
+  let i = t.hist_next land (history_len - 1) in
+  Array.unsafe_set t.history i ev;
+  Array.unsafe_set t.acc (2 * i) (-1);
+  t.hist_next <- t.hist_next + 1
+
+(* Live accesses come from the machine: [node] and [addr] are in range. *)
+let remember_access t ~node ~addr ~write ~faulted =
+  let i = 2 * (t.hist_next land (history_len - 1)) in
+  Array.unsafe_set t.acc i node;
+  Array.unsafe_set t.acc (i + 1)
+    ((addr lsl 2) lor (Bool.to_int faulted lsl 1) lor Bool.to_int write);
   t.hist_next <- t.hist_next + 1
 
 let recent t =
   let n = min t.hist_next history_len in
-  List.init n (fun i -> t.history.((t.hist_next - n + i) land (history_len - 1)))
+  List.init n (fun k ->
+      let i = (t.hist_next - n + k) land (history_len - 1) in
+      let node = t.acc.(2 * i) and bits = t.acc.((2 * i) + 1) in
+      if node < 0 then t.history.(i)
+      else
+        Trace.Access
+          { node; addr = bits lsr 2; write = bits land 1 = 1; faulted = bits land 2 = 2 })
 
 let fail t ~check fmt =
   Format.kasprintf
@@ -172,6 +192,21 @@ let note_write t ~node ~addr =
       (w - t.epoch) node
   else Array.unsafe_set t.writers addr (t.epoch + node)
 
+(* A completed access is a stable point, and a write stamps the race table.
+   The node and word are range-checked: {!feed} takes untrusted replay
+   lines. *)
+let check_access t ~node ~addr ~write =
+  if node < 0 || node >= t.nodes then
+    fail t ~check:"access" "access by node %d out of range [0,%d)" node t.nodes;
+  if addr < 0 || addr >= word_limit t then
+    fail t ~check:"access" "access to word %d outside the %d allocated" addr (word_limit t);
+  if write && t.check_races then note_write t ~node ~addr;
+  check_dir_agreement t
+
+let on_access t ~node ~addr ~write ~faulted =
+  remember_access t ~node ~addr ~write ~faulted;
+  check_access t ~node ~addr ~write
+
 let on_event t ev =
   remember t ev;
   match ev with
@@ -216,13 +251,7 @@ let on_event t ev =
             "presend of block %d for phase %d, but the schedule holds no \
              record for that (phase, block) — stale after a flush?"
             block phase)
-  | Trace.Access { node; addr; write; faulted = _ } ->
-      if node < 0 || node >= t.nodes then
-        fail t ~check:"access" "access by node %d out of range [0,%d)" node t.nodes;
-      if addr < 0 || addr >= word_limit t then
-        fail t ~check:"access" "access to word %d outside the %d allocated" addr (word_limit t);
-      if write && t.check_races then note_write t ~node ~addr;
-      check_dir_agreement t
+  | Trace.Access { node; addr; write; faulted = _ } -> check_access t ~node ~addr ~write
   | Trace.Barrier _ ->
       t.epoch <- t.epoch + t.nodes;
       check_dir_agreement t
@@ -253,9 +282,9 @@ let on_event t ev =
 
 (* [create] builds a detached sanitizer: the caller feeds it events
    explicitly (the trace-replay oracle drives one from a recorded JSONL
-   stream against a mirror machine).  [attach] is the live form, subscribed
-   to the machine's trace bus.  The block and word tables start empty and
-   grow on first use. *)
+   stream against a mirror machine).  [attach] is the live form, one
+   observer of the machine taking events boxed and accesses typed.  The
+   block and word tables start empty and grow on first use. *)
 let create ?(mode = Invalidate) ?dir ?(check_races = true) machine =
   let nodes = Machine.num_nodes machine in
   {
@@ -273,6 +302,7 @@ let create ?(mode = Invalidate) ?dir ?(check_races = true) machine =
     epoch = nodes;
     rw_holders = Hashtbl.create 64;
     history = Array.make history_len (Trace.Phase_begin { phase = 0 });
+    acc = Array.make (2 * history_len) (-1);
     hist_next = 0;
   }
 
@@ -280,7 +310,15 @@ let feed t ev = on_event t ev
 
 let attach ?mode ?dir ?check_races machine =
   let t = create ?mode ?dir ?check_races machine in
-  Machine.subscribe machine (on_event t);
+  let (_ : unit -> unit) =
+    Machine.observe machine
+      {
+        Machine.no_observer with
+        on_event = Some (on_event t);
+        on_access =
+          Some (fun ~node ~addr ~write ~faulted -> on_access t ~node ~addr ~write ~faulted);
+      }
+  in
   t
 
 let events_seen t = t.hist_next

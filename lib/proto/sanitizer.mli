@@ -1,11 +1,12 @@
 (** Online coherence-invariant sanitizer.
 
-    A {!Ccdsm_tempest.Trace} subscriber that validates protocol invariants
-    on every event, in the spirit of the directory-protocol verification
-    role Teapot played for the paper's protocols — but online, during any
-    run, so the exhaustive model checker, the differential fuzzer, golden
-    traces and ordinary application runs all check transition-level
-    invariants rather than only end values.
+    A machine observer ({!Ccdsm_tempest.Machine.observer}) that validates
+    protocol invariants on every event and every completed access, in the
+    spirit of the directory-protocol verification role Teapot played for
+    the paper's protocols — but online, during any run, so the exhaustive
+    model checker, the differential fuzzer, golden traces and ordinary
+    application runs all check transition-level invariants rather than
+    only end values.
 
     Checks, by event:
 
@@ -40,12 +41,15 @@
     Cost: O(1) amortized per event, apart from the per-block checks
     themselves (an O(nodes) tag scan per [Tag_change], and one
     {!Directory.check_invariant} per block dirtied since the last stable
-    point).  Nothing is allocated per [Access]: the dirty set is a block
-    stack with a per-block mark, so a stable point with nothing dirty costs
-    one compare; the race table is a per-word array stamped with the
-    barrier interval and the writer, so a [Barrier] bumps a counter; the
-    history is a fixed ring.  The block and word tables grow by doubling
-    to cover what the machine has allocated, never past twice that. *)
+    point).  Nothing is allocated per access, end to end: the machine hands
+    each completed access to the sanitizer's typed [on_access] hook, with
+    no {!Ccdsm_tempest.Trace.Access} built; the dirty set is a block stack
+    with a per-block mark, so a stable point with nothing dirty costs one
+    compare; the race table is a per-word array stamped with the barrier
+    interval and the writer, so a [Barrier] bumps a counter; the history is
+    a fixed ring that keeps accesses unboxed.  The block and word tables
+    grow by doubling to cover what the machine has allocated, never past
+    twice that. *)
 
 module Machine = Ccdsm_tempest.Machine
 module Trace = Ccdsm_tempest.Trace
@@ -83,19 +87,19 @@ val to_string : violation -> string
 
 val attach :
   ?mode:mode -> ?dir:Directory.t -> ?check_races:bool -> Machine.t -> t
-(** Create a sanitizer and subscribe it to [machine]'s event bus.  [mode]
+(** Create a sanitizer and attach it to [machine] as an observer.  [mode]
     defaults to [Invalidate]; pass [dir] to enable directory/tag agreement
     checking; [check_races] defaults to [true]. *)
 
 val create :
   ?mode:mode -> ?dir:Directory.t -> ?check_races:bool -> Machine.t -> t
-(** Like {!attach} but without subscribing: the caller pushes events through
+(** Like {!attach} but without observing: the caller pushes events through
     {!feed} explicitly.  The trace-replay oracle uses this to validate
     recorded JSONL traces against a mirror machine whose tags it maintains
     from the replayed [Tag_change] events. *)
 
 val feed : t -> Trace.event -> unit
-(** Validate one event (exactly what the subscribed form does per event).
+(** Validate one event (exactly what the attached form does per event).
     @raise Violation when an invariant fails. *)
 
 val events_seen : t -> int

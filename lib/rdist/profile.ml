@@ -1,4 +1,5 @@
 module Machine = Ccdsm_tempest.Machine
+module Trace = Ccdsm_tempest.Trace
 module Json = Ccdsm_util.Json
 
 type event =
@@ -82,6 +83,7 @@ type collector = {
   mutable out_msgs : int;
   mutable out_bytes : int;
   out_bucket : float array;
+  mutable detach : unit -> unit;
 }
 
 let counters c =
@@ -319,25 +321,31 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
       out_msgs = 0;
       out_bytes = 0;
       out_bucket = Array.make nmb 0.0;
+      detach = ignore;
     }
   in
   let _, msgs, bytes, _ = counters c in
   c.closed_msgs <- msgs;
   c.closed_bytes <- bytes;
   Array.blit (bucket_sums c) 0 c.closed_bucket 0 nmb;
-  Machine.set_profiler machine
-    (Some
-       {
-         Machine.prof_access = (fun ~node ~addr ~write -> prof_access c ~node ~addr ~write);
-         prof_alloc = (fun ~words ~home -> prof_alloc c ~words ~home);
-         prof_heap_alloc = (fun ~node ~words ~spilled -> prof_heap_alloc c ~node ~words ~spilled);
-         prof_phase = (fun ~enter ~id ~name ~scheduled -> prof_phase c ~enter ~id ~name ~scheduled);
-         prof_flush = (fun ~phase -> prof_flush c ~phase);
-       });
+  (* Schedule flushes arrive as the [Sched_flush] event every protocol's
+     [flush_schedule] publishes. *)
+  c.detach <-
+    Machine.observe machine
+      {
+        Machine.no_observer with
+        on_touch = Some (fun ~node ~addr ~write -> prof_access c ~node ~addr ~write);
+        on_alloc = Some (fun ~words ~home -> prof_alloc c ~words ~home);
+        on_heap_alloc =
+          Some (fun ~node ~words ~spilled -> prof_heap_alloc c ~node ~words ~spilled);
+        on_phase =
+          Some (fun ~enter ~id ~name ~scheduled -> prof_phase c ~enter ~id ~name ~scheduled);
+        on_event = Some (function Trace.Sched_flush { phase } -> prof_flush c ~phase | _ -> ());
+      };
   c
 
 let finish c =
-  Machine.set_profiler c.machine None;
+  c.detach ();
   if c.open_ then close_segment c;
   let _, msgs, bytes, _ = counters c in
   c.out_msgs <- c.out_msgs + (msgs - c.closed_msgs);

@@ -17,12 +17,12 @@
       block-size-invariant traffic residual (reductions, barriers), and base
       the wall-clock cost model ({!Model.eval}).
 
-    Collection hooks into the machine through
-    {!Ccdsm_tempest.Machine.set_profiler} — the [profiled] fast-path flag —
-    and is pure observation: a profiled run produces byte-identical simulated
-    results.  The JSON encoding is canonical (fixed key order, round-trip
-    float literals, one line per segment), so equal profiles are equal
-    bytes. *)
+    Collection is one {!Ccdsm_tempest.Machine.observer} — access touches,
+    allocations, heap allocations and phase boundaries through their typed
+    hooks, schedule flushes as the [Sched_flush] event — and is pure
+    observation: a profiled run produces byte-identical simulated results.
+    The JSON encoding is canonical (fixed key order, round-trip float
+    literals, one line per segment), so equal profiles are equal bytes. *)
 
 module Machine = Ccdsm_tempest.Machine
 
@@ -76,12 +76,12 @@ val attach :
   arena_blocks:int ->
   Machine.t ->
   collector
-(** Install a collector as the machine's profiler.  [sample_presends] is
+(** Attach a collector as an observer of the machine.  [sample_presends] is
     polled at segment boundaries (pass the predictive protocol's grant
     counter to record per-segment presend actuals). *)
 
 val finish : collector -> t
-(** Detach the collector and build the profile. *)
+(** Detach the collector's observer and build the profile. *)
 
 val collect :
   ?sample_presends:(unit -> int) ->

@@ -107,9 +107,7 @@ let phase_name p = p.pname
 let phase_id p = p.id
 let phase_scheduled p = p.scheduled
 
-let flush_phase t p =
-  t.coherence.Coherence.flush_schedule ~phase:p.id;
-  if Machine.profiled t.machine then Machine.profile_flush t.machine ~phase:p.id
+let flush_phase t p = t.coherence.Coherence.flush_schedule ~phase:p.id
 
 let charge_compute t ~node us = Machine.charge t.machine ~node Machine.Compute us
 
@@ -153,30 +151,19 @@ let watch_items t () =
       ]
   | None -> []
 
-(* Profile-collector notifications (no-ops unless a profiler is attached):
-   enter fires before the coherence phase_begin so the presend traffic lands
-   inside the phase's profile segment, exit after the closing barrier. *)
-let profile_enter t phase =
-  if Machine.profiled t.machine then begin
-    let id, name, scheduled =
-      match phase with Some p -> (p.id, p.pname, p.scheduled) | None -> (-1, "unscheduled", false)
-    in
-    Machine.profile_phase t.machine ~enter:true ~id ~name ~scheduled
-  end
-
-let profile_exit t phase =
-  if Machine.profiled t.machine then begin
-    let id, name, scheduled =
-      match phase with Some p -> (p.id, p.pname, p.scheduled) | None -> (-1, "unscheduled", false)
-    in
-    Machine.profile_phase t.machine ~enter:false ~id ~name ~scheduled
-  end
+(* Phase boundaries for observers (the profile collector): enter fires
+   before the coherence phase_begin so the presend traffic lands inside the
+   phase's profile segment, exit after the closing barrier. *)
+let notify_phase t phase ~enter =
+  match phase with
+  | Some p -> Machine.notify_phase t.machine ~enter ~id:p.id ~name:p.pname ~scheduled:p.scheduled
+  | None -> Machine.notify_phase t.machine ~enter ~id:(-1) ~name:"unscheduled" ~scheduled:false
 
 let run_phase t phase body =
   t.phases_run <- t.phases_run + 1;
   let exec () =
     let bracketed = match phase with Some p when p.scheduled -> Some p | _ -> None in
-    profile_enter t phase;
+    notify_phase t phase ~enter:true;
     (match bracketed with
     | Some p -> t.coherence.Coherence.phase_begin ~phase:p.id
     | None -> ());
@@ -185,7 +172,7 @@ let run_phase t phase body =
     | Some p -> t.coherence.Coherence.phase_end ~phase:p.id
     | None -> ());
     barrier t;
-    profile_exit t phase
+    notify_phase t phase ~enter:false
   in
   match t.obs with
   | None -> exec ()
@@ -248,11 +235,11 @@ let parallel_nodes t ?phase body =
 
 let phase_region t p body =
   if p.scheduled then begin
-    profile_enter t (Some p);
+    notify_phase t (Some p) ~enter:true;
     t.coherence.Coherence.phase_begin ~phase:p.id;
     let finish () =
       t.coherence.Coherence.phase_end ~phase:p.id;
-      profile_exit t (Some p)
+      notify_phase t (Some p) ~enter:false
     in
     match body () with
     | v ->

@@ -19,8 +19,7 @@ let alloc t ~node ~words =
     (* Large object: dedicated allocation, do not disturb the bump arena. *)
     let addr = Machine.alloc t.machine ~words ~home:node in
     a.used <- a.used + words;
-    if Machine.profiled t.machine then
-      Machine.profile_heap_alloc t.machine ~node ~words ~spilled:true;
+    Machine.notify_heap_alloc t.machine ~node ~words ~spilled:true;
     addr
   end
   else begin
@@ -33,8 +32,7 @@ let alloc t ~node ~words =
     let addr = a.cur in
     a.cur <- a.cur + words;
     a.used <- a.used + words;
-    if Machine.profiled t.machine then
-      Machine.profile_heap_alloc t.machine ~node ~words ~spilled;
+    Machine.notify_heap_alloc t.machine ~node ~words ~spilled;
     addr
   end
 

@@ -99,113 +99,75 @@ val install : t -> handlers -> unit
 (** Install the coherence protocol's fault handlers.  Until installed, any
     fault raises [Failure]. *)
 
-(** {1 Event tracing}
+(** {1 Observers}
 
-    Machines publish {!Trace.event}s describing every observable coherence
-    action: faults, completed accesses, messages, tag transitions, barriers
-    and allocations (upper layers add phase, schedule and presend events
-    through {!emit}).  Emission is free when no subscriber is attached.  A
-    machine created while {!Trace.set_global} holds a sink starts with that
-    sink subscribed (and announces itself with an [Init] event). *)
+    Whatever watches a machine — trace subscribers and the JSONL sink, the
+    sanitizer, the profile and timeline collectors — is one {!observer}: a
+    record of optional hooks, each called, in attach order, on only the
+    observers that implement it.  With nothing attached every hook site
+    tests one {!observed} flag and does nothing else.  Observers never
+    change simulated results, so an observed run is byte-identical to an
+    unobserved one; an exception a hook raises (the sanitizer's
+    [Violation]) propagates to the faulting access.  A machine created
+    while {!Trace.set_global} holds a sink starts with that sink subscribed
+    and announces itself to it with an [Init] event. *)
+
+type observer = {
+  on_event : (Trace.event -> unit) option;
+      (** Every published event except completed accesses, which arrive
+          through [on_access] only. *)
+  on_touch : (node:int -> addr:addr -> write:bool -> unit) option;
+      (** Every data access ({!read}, {!write}, each word of a range),
+          before its fault, if any, is serviced. *)
+  on_access : (node:int -> addr:addr -> write:bool -> faulted:bool -> unit) option;
+      (** Every completed data access, after its fault and its Compute
+          charge; [faulted] marks the word that tripped a fault. *)
+  on_charge : (node:int -> bucket -> us:float -> unit) option;
+      (** Every {!charge}, before the stats-table add.  Replaying these
+          additions and each access's [local_access_us] in arrival order
+          reproduces the stats table bit for bit. *)
+  on_alloc : (words:int -> home:int -> unit) option;  (** After each {!alloc}. *)
+  on_heap_alloc : (node:int -> words:int -> spilled:bool -> unit) option;
+      (** After a logical shared-heap allocation; [spilled] = it triggered
+          the {!alloc} that arrived just before. *)
+  on_phase : (enter:bool -> id:int -> name:string -> scheduled:bool -> unit) option;
+      (** At runtime phase boundaries ([id] = -1: unscheduled). *)
+  on_reset : (unit -> unit) option;  (** After {!reset_stats}. *)
+}
+
+val no_observer : observer
+(** Every hook [None], the base for [{ no_observer with on_... = Some f }]. *)
+
+val observe : t -> observer -> unit -> unit
+(** Attach an observer; the result detaches it. *)
+
+val observed : t -> bool
+(** [true] while an observer is attached; guards event construction. *)
 
 val subscribe : t -> (Trace.event -> unit) -> unit
-(** Add an event subscriber.  Subscribers run synchronously, in subscription
-    order, at the emission point — an exception raised by a subscriber (the
-    sanitizer's [Violation]) propagates to the faulting access. *)
+(** Attach an event subscriber for the machine's life; it also receives
+    completed accesses, as boxed {!Trace.Access} events. *)
 
-val traced : t -> bool
-(** [true] when at least one subscriber is attached; guards event
-    construction on hot paths. *)
+val emit : t -> Trace.event -> unit
+(** Publish an event to the [on_event] hooks (protocol, schedule and
+    runtime layers). *)
+
+val notify_heap_alloc : t -> node:int -> words:int -> spilled:bool -> unit
+(** Call the [on_heap_alloc] hooks ([Shared_heap] does). *)
+
+val notify_phase : t -> enter:bool -> id:int -> name:string -> scheduled:bool -> unit
+(** Call the [on_phase] hooks (the runtime does). *)
 
 (** {1 Metrics}
 
     A machine created while {!Ccdsm_obs.Obs.set_global} holds a registry
     resolves its instrument handles there once (tag-transition counters,
-    per-kind message counters) and increments them as it runs — the metrics
-    dual of the trace sink, with the same pay-for-what-you-use rule: with no
+    per-kind message counters) and increments them as it runs.  With no
     registry installed the machine performs no metrics work at all. *)
 
 val obs : t -> Ccdsm_obs.Obs.Registry.t option
-(** The registry this machine metered into, if any — protocol and runtime
+(** The registry this machine meters into, if any — protocol and runtime
     layers resolve their own instruments here at creation time. *)
-
-val metered : t -> bool
-(** [true] when a registry was installed at creation. *)
-
-(** {1 Access profiling}
-
-    The third observer family next to tracing and metering, used by the
-    first-touch profile collector ([Ccdsm_rdist]): one callback per
-    completed data access, allocation, heap allocation and runtime phase
-    transition.  The same pay-for-what-you-use rule applies — with no
-    profiler installed the hot paths only test one flag — and unlike
-    tracing, profiling is pure observation: it never affects simulated
-    results, gating or message traffic, so a profiled run stays
-    byte-identical to an unprofiled one. *)
-
-type profiler = {
-  prof_access : node:int -> addr:addr -> write:bool -> unit;
-      (** Called for every application data access ({!read}, {!write} and
-          the word-at-a-time expansion of the range accessors), before the
-          access's fault — if any — is serviced. *)
-  prof_alloc : words:int -> home:int -> unit;
-      (** Called by {!alloc} after the allocation completes. *)
-  prof_heap_alloc : node:int -> words:int -> spilled:bool -> unit;
-      (** Called by the shared heap after a logical heap allocation;
-          [spilled] reports whether it triggered an underlying {!alloc}
-          (a fresh bump arena or a dedicated large object), which arrived
-          through {!field-prof_alloc} immediately before. *)
-  prof_phase : enter:bool -> id:int -> name:string -> scheduled:bool -> unit;
-      (** Called by the runtime at parallel-phase boundaries ([id] = -1 for
-          unscheduled operations). *)
-  prof_flush : phase:int -> unit;
-      (** Called when the application discards a phase's presend schedule
-          ([Runtime.flush_phase]); the model must mirror the flush to keep
-          its replayed schedules in lockstep. *)
-}
-
-val set_profiler : t -> profiler option -> unit
-val profiled : t -> bool
-
-val profile_heap_alloc : t -> node:int -> words:int -> spilled:bool -> unit
-(** Forward a heap allocation to the profiler (no-op when none installed);
-    called by [Shared_heap]. *)
-
-val profile_phase : t -> enter:bool -> id:int -> name:string -> scheduled:bool -> unit
-(** Forward a phase transition to the profiler; called by the runtime. *)
-
-val profile_flush : t -> phase:int -> unit
-(** Forward a schedule flush to the profiler; called by the runtime. *)
-
-(** {1 Timeline charges}
-
-    The fourth observer family, used by the causal-span collector
-    ([Timecap]): one callback per bucket charge carrying the exact
-    microsecond amount entering the stats table, plus a batched callback for
-    the word-at-a-time Compute charges.  Same pay-for-what-you-use rule as
-    the profiler — with no timeline installed the hot paths only test one
-    flag, so an untimed run is byte-identical to the pre-timeline
-    simulator.  A collector that replays the callbacks' additions in arrival
-    order reproduces every bucket of the stats table bit-for-bit; [Timecap]
-    checks exactly that as its residual invariant. *)
-
-type timeline = {
-  tml_charge : node:int -> bucket -> us:float -> unit;
-      (** Called by {!charge} (faults, exchanges, presends, barriers,
-          explicit task charges) before the stats-table add, so the
-          collector can still read the node's pre-charge {!time}. *)
-  tml_compute : node:int -> us:float -> count:int -> unit;
-      (** [count] repetitions of a [us] Compute charge ({!read}/{!write} and
-          the range accessors' per-word expansion). *)
-  tml_reset : unit -> unit;  (** Called by {!reset_stats}. *)
-}
-
-val set_timeline : t -> timeline option -> unit
-val timed : t -> bool
-
-val emit : t -> Trace.event -> unit
-(** Publish an event to all subscribers (used by the protocol, schedule and
-    runtime layers; no-op without subscribers). *)
 
 (** {1 Allocation} *)
 
@@ -251,9 +213,10 @@ val write : t -> node:int -> addr -> float -> unit
 val read_range : t -> node:int -> addr -> float array -> unit
 (** [read_range t ~node a dst] reads [Array.length dst] consecutive words
     starting at [a] into [dst].  Observationally identical to a word-at-a-time
-    {!read} loop — same values, counters, bucket charges and emitted trace
-    events — but the tag is validated once per cache block instead of once
-    per word, and the data moves with a blit.  The whole range is bounds
+    {!read} loop — same values, counters, bucket charges, events and
+    [on_access] calls (a block's [on_touch] calls all precede its fault) —
+    but the tag is validated once per cache block instead of once per word,
+    and the data moves with a blit.  The whole range is bounds
     checked up front, so an out-of-range tail raises before any access. *)
 
 val write_range : t -> node:int -> addr -> float array -> unit

@@ -1,10 +1,11 @@
-(** The timeline collector: turns one machine's Trace events and charge
-    hooks into a causal {!Ccdsm_obs.Timeline.t}.
+(** The timeline collector: turns one machine's Trace events, accesses and
+    charges into a causal {!Ccdsm_obs.Timeline.t}.
 
-    [attach m] subscribes to the machine's trace bus (so [Machine.traced]
-    becomes true, which also gates off the sharded presend path — collection
-    observes the sequential schedule) and installs the timeline charge hook.
-    From then on every bucket charge is replayed into the timeline's exact
+    [attach m] attaches one {!Machine.observer} taking events, completed
+    accesses, charges and stats resets (so [Machine.observed] becomes true,
+    which also gates off the sharded presend path — collection observes the
+    sequential schedule).  From then on every bucket charge, and the
+    Compute charge of every access, is replayed into the timeline's exact
     per-node accounting, and the event stream is folded into spans:
 
     - a demand miss opens a chain on the faulting node — a "fault" stall
@@ -33,13 +34,12 @@ module Timeline = Ccdsm_obs.Timeline
 type t
 
 val attach : Machine.t -> t
-(** Subscribe + install the charge hook.  At most one collector per machine
-    ({!Machine.set_timeline} holds a single slot); attaching a second one
-    replaces the hook and raises [Invalid_argument]. *)
+(** Attach the collector's observer.  Collectors are independent: several
+    may watch one machine. *)
 
 val detach : t -> unit
-(** Stop collecting: the charge hook is removed and the (irremovable) trace
-    subscription becomes a no-op. *)
+(** Stop collecting: the observer is removed, so a machine with no other
+    observer is back on the unobserved path. *)
 
 val finish : t -> Timeline.t
 (** Seal the trailing segment (label ["tail"]) if any charge landed since

@@ -2,15 +2,17 @@
 
     The paper's results are explained entirely by *which cache blocks move
     between which nodes*; this module makes that stream observable.  Every
-    layer of the simulator publishes typed events onto a per-machine bus
-    ({!Machine.subscribe}): access faults, protocol messages with
-    source/destination/size/kind, per-node tag transitions, barriers, phase
-    brackets, communication-schedule records and flushes, and presend legs.
+    layer of the simulator publishes typed events to the machine's
+    observers ({!Machine.observe}, {!Machine.subscribe}): access faults,
+    protocol messages with source/destination/size/kind, per-node tag
+    transitions, barriers, phase brackets, communication-schedule records
+    and flushes, and presend legs.
 
-    The bus is zero-cost when nobody subscribes (emission sites are guarded
-    by an empty-subscriber check).  On top of it sit the JSONL sink used by
-    [repro --trace], the golden-trace regression tests, and the online
-    invariant sanitizer ({!Ccdsm_proto.Sanitizer}). *)
+    Publishing is zero-cost when nothing observes the machine (emission
+    sites are guarded by its one [observed] flag).  The consumers are the
+    JSONL sink used by [repro --trace], the golden-trace regression tests,
+    the online invariant sanitizer ({!Ccdsm_proto.Sanitizer}), the timeline
+    collector and the profile collector. *)
 
 type msg_kind =
   | Req  (** demand request (read or write miss) *)

@@ -11,6 +11,9 @@ module Machine = Ccdsm_tempest.Machine
 module Tag = Ccdsm_tempest.Tag
 module Trace = Ccdsm_tempest.Trace
 module Engine = Ccdsm_proto.Engine
+module Sanitizer = Ccdsm_proto.Sanitizer
+module Timecap = Ccdsm_tempest.Timecap
+module Profile = Ccdsm_rdist.Profile
 module Aggregate = Ccdsm_runtime.Aggregate
 module Distribution = Ccdsm_runtime.Distribution
 module E = Ccdsm_harness.Experiments
@@ -65,7 +68,7 @@ let machines_equal ~nodes ~words ~a1 ~a2 m1 m2 =
 
 (* Four nodes, 64 words spread over four 16-word allocations homed at nodes
    0..3, stache protocol, a JSON-recording subscriber on each machine (which
-   also exercises the [traced] flag on the batched path). *)
+   also exercises the [observed] flag on the batched path). *)
 let mk_traced_machine () =
   let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
   ignore (Engine.stache m);
@@ -269,6 +272,66 @@ let test_parjobs_error () =
            (fun x -> if x >= 10 then failwith (Printf.sprintf "boom%d" x) else x)
            (List.init 20 (fun i -> i + 1))))
 
+(* -- observers -------------------------------------------------------------- *)
+
+(* The sanitizer takes completed accesses through the machine's typed hook
+   and keeps them unboxed in its history ring, so a sanitized hit allocates
+   exactly what an unobserved one does: the boxed float [read] returns, and
+   nothing for a write or a range.  Each loop runs once first, so the
+   sanitizer's tables have grown before the count. *)
+let test_sanitized_alloc () =
+  let machine ~sanitized =
+    let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
+    let eng, _ = Engine.stache m in
+    if sanitized then ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+    (m, Machine.alloc m ~words:512 ~home:0)
+  in
+  let dst = Array.make 64 0.0 in
+  let loops =
+    [
+      ( "10,000 read hits",
+        fun m a ->
+          for i = 0 to 9_999 do
+            ignore (Sys.opaque_identity (Machine.read m ~node:0 (a + (i land 511))))
+          done );
+      ( "10,000 write hits",
+        fun m a ->
+          for i = 0 to 9_999 do
+            Machine.write m ~node:0 (a + (i land 511)) 1.0
+          done );
+      ( "100 64-word read_ranges",
+        fun m a ->
+          for i = 0 to 99 do
+            Machine.read_range m ~node:0 (a + ((i land 7) * 64)) dst
+          done );
+    ]
+  in
+  List.iter
+    (fun (name, loop) ->
+      let words ~sanitized =
+        let m, a = machine ~sanitized in
+        loop m a;
+        let before = Gc.minor_words () in
+        loop m a;
+        int_of_float (Gc.minor_words () -. before)
+      in
+      check Alcotest.int name (words ~sanitized:false) (words ~sanitized:true))
+    loops
+
+(* Detaching the timeline collector or finishing a profile removes its
+   observer, so the machine is back on the unobserved path. *)
+let test_detach_unobserves () =
+  let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
+  ignore (Engine.stache m);
+  let cap = Timecap.attach m in
+  check Alcotest.bool "timeline collector observes" true (Machine.observed m);
+  Timecap.detach cap;
+  check Alcotest.bool "unobserved after Timecap.detach" false (Machine.observed m);
+  let c = Profile.attach ~app:"t" ~protocol:"stache" ~arena_blocks:64 m in
+  check Alcotest.bool "profile collector observes" true (Machine.observed m);
+  ignore (Profile.finish c);
+  check Alcotest.bool "unobserved after Profile.finish" false (Machine.observed m)
+
 let test_jobs_byte_identical () =
   let render jobs = E.render (E.fig5 ~num_nodes:8 ~jobs E.Scaled) in
   check Alcotest.string "fig5 jobs=1 = jobs=4" (render 1) (render 4)
@@ -283,6 +346,9 @@ let suite =
         Alcotest.test_case "batched element accessors" `Quick test_elem_accessors;
         Alcotest.test_case "parjobs preserves order" `Quick test_parjobs_order;
         Alcotest.test_case "parjobs deterministic error" `Quick test_parjobs_error;
+        Alcotest.test_case "sanitized accesses allocate nothing extra" `Quick
+          test_sanitized_alloc;
+        Alcotest.test_case "detach leaves the machine unobserved" `Quick test_detach_unobserves;
         Alcotest.test_case "figure text identical across job counts" `Slow
           test_jobs_byte_identical;
       ] );

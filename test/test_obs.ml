@@ -239,7 +239,7 @@ let test_snapshot_deterministic_across_jobs () =
 let test_no_sink_unmetered () =
   check bool "no global registry" true (Obs.global () = None);
   let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
-  check bool "machine unmetered" false (Machine.metered m);
+  check bool "machine unobserved" false (Machine.observed m);
   check bool "no registry handle" true (Machine.obs m = None);
   (* Always-on accounting still lands in the measurement snapshot. *)
   let meas = Measure.measure ~num_nodes:4 (water_version "w" Runtime.Predictive) in
