@@ -359,7 +359,7 @@ let test_sanitizer_history_window () =
   in
   List.iter (Sanitizer.feed s) records;
   let stale = Trace.Presend { phase = 9; block = 0; dst = 1; write = false } in
-  match Sanitizer.feed s stale with
+  (match Sanitizer.feed s stale with
   | () -> Alcotest.fail "expected a presend violation"
   | exception Sanitizer.Violation v ->
       let expected = List.filteri (fun i _ -> i >= 5) records @ [ stale ] in
@@ -367,6 +367,27 @@ let test_sanitizer_history_window () =
         Alcotest.(list string)
         "the last 16 events, oldest first"
         (List.map Trace.to_json expected)
+        (List.map Trace.to_json v.Sanitizer.history));
+  (* Attached, the sanitizer keeps completed accesses unboxed; its
+     diagnostics still list them, interleaved with the other events exactly
+     as a subscriber attached before it saw them. *)
+  let m = mk () in
+  let seen = ref [] in
+  Machine.subscribe m (fun ev -> seen := Trace.to_json ev :: !seen);
+  let eng, _ = Engine.stache m in
+  ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+  let a = Machine.alloc m ~words:8 ~home:0 in
+  for i = 0 to 7 do
+    Machine.write m ~node:0 (a + i) 1.0;
+    ignore (Machine.read m ~node:(1 + (i land 1)) (a + i))
+  done;
+  match Machine.emit m stale with
+  | () -> Alcotest.fail "expected a presend violation from the attached sanitizer"
+  | exception Sanitizer.Violation v ->
+      check
+        Alcotest.(list string)
+        "the last 16 events, accesses included"
+        (List.rev (List.filteri (fun i _ -> i < 16) !seen))
         (List.map Trace.to_json v.Sanitizer.history)
 
 let test_sanitizer_rejects_bad_ranges () =
