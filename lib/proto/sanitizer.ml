@@ -234,9 +234,9 @@ let on_event t ev =
       in
       Hashtbl.replace t.recorded key (Nodeset.add node cur)
   | Trace.Sched_flush { phase } ->
-      Hashtbl.iter
-        (fun ((p, _) as key) _ -> if p = phase then Hashtbl.remove t.recorded key)
-        (Hashtbl.copy t.recorded);
+      Hashtbl.filter_map_inplace
+        (fun (p, _) consumers -> if p = phase then None else Some consumers)
+        t.recorded;
       check_dir_agreement t
   | Trace.Presend { phase; block; dst; write = _ } -> (
       match Hashtbl.find_opt t.recorded (phase, block) with

@@ -452,7 +452,7 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
             at_home g.payer g.us)
           (Cost.flush cost ~coalesce q);
         (* The closing barrier of the flush. *)
-        let mx = Array.fold_left max 0.0 flushq in
+        let mx = Array.fold_left Float.max 0.0 flushq in
         pre (float_of_int nnodes *. (mx +. Network.barrier_cost net ~nodes:nnodes))
   in
   let predictive = match protocol with Predictive _ -> true | Stache -> false in
@@ -576,9 +576,9 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
                     if stride > 0 then ((((b + 1) lsl wpb_shift) - 1) - q) / stride
                     else (q - (b lsl wpb_shift)) / -stride
                   in
-                  min (cnt - 1 - !k) (min ent_steps blk_steps)
+                  Int.min (cnt - 1 - !k) (Int.min ent_steps blk_steps)
                 in
-                k := !k + 1 + max 0 skip
+                k := !k + 1 + Int.max 0 skip
               end
             done
           end;

@@ -40,6 +40,70 @@ let nmb = List.length machine_buckets
 
 (* -- collection --------------------------------------------------------- *)
 
+(* The first-touch set: the (node, word, op) keys seen in the open segment,
+   open-addressed in one flat int array.  Slot [i] holds its key at [2i] and,
+   at [2i+1], the generation that stored it; a slot is live only while that
+   stamp is the current generation.  So [clear] empties the set with one
+   increment, and the table keeps its grown size from segment to segment. *)
+module Seen = struct
+  type t = {
+    mutable slots : int array;
+    mutable bits : int;  (* log2 of the slot count *)
+    mutable live : int;
+    mutable gen : int;  (* from 1: a fresh slot's stamp 0 is never live *)
+  }
+
+  let initial_bits = 10
+
+  let create () = { slots = Array.make (2 lsl initial_bits) 0; bits = initial_bits; live = 0; gen = 1 }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.live <- 0
+
+  (* Multiplicative hashing: the top [bits] bits of the key times an odd
+     constant near 2^62 divided by the golden ratio, so keys that differ
+     only in their low bits (node, op) still spread. *)
+  let home bits key = (key * 0x278DDE6E5FD29F05) lsr (Sys.int_size - bits)
+
+  (* The key's slot: where it lives, or the first free slot of its probe
+     sequence.  Indices are masked, so the unchecked reads stay in range. *)
+  let find slots bits gen key =
+    let mask = (1 lsl bits) - 1 in
+    let i = ref (home bits key) in
+    while
+      Array.unsafe_get slots ((2 * !i) + 1) = gen && Array.unsafe_get slots (2 * !i) <> key
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow t =
+    let old = t.slots in
+    t.bits <- t.bits + 1;
+    t.slots <- Array.make (2 lsl t.bits) 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      if old.((2 * i) + 1) = t.gen then begin
+        let j = find t.slots t.bits t.gen old.(2 * i) in
+        t.slots.(2 * j) <- old.(2 * i);
+        t.slots.((2 * j) + 1) <- t.gen
+      end
+    done
+
+  (* Add [key]; [false] if it was already in the set.  The table doubles
+     when it is half full. *)
+  let add t key =
+    let i = find t.slots t.bits t.gen key in
+    if Array.unsafe_get t.slots ((2 * i) + 1) = t.gen then false
+    else begin
+      Array.unsafe_set t.slots (2 * i) key;
+      Array.unsafe_set t.slots ((2 * i) + 1) t.gen;
+      t.live <- t.live + 1;
+      if 2 * t.live > 1 lsl t.bits then grow t;
+      true
+    end
+end
+
 (* Internal event stream: packed 5-int cells [kind; a; b; c; d] so the hot
    path only bumps an int array.  kind 0 = read run (node, addr, stride,
    count), 1 = write run, 2 = raw alloc (words, home), 3 = heap alloc
@@ -62,7 +126,7 @@ type collector = {
   mutable cur_presend : bool;
   mutable ev : int array;
   mutable ev_len : int;
-  seen : (int, unit) Hashtbl.t;  (* (addr, node, op) first-touch filter *)
+  seen : Seen.t;  (* (addr, node, op) first-touch filter *)
   (* open access run *)
   mutable run_open : bool;
   mutable r_node : int;
@@ -163,7 +227,7 @@ let open_segment c ~presend =
   c.cur_record <- record;
   c.cur_presend <- presend;
   c.ev_len <- 0;
-  Hashtbl.reset c.seen;
+  Seen.clear c.seen;
   c.run_open <- false;
   let faults, msgs, bytes, presends = counters c in
   (* Counter movement since the last close happened between segments
@@ -214,8 +278,7 @@ let prof_access c ~node ~addr ~write =
      can change coherence state, so only it enters the event stream. *)
   let op = if write then 1 else 0 in
   let key = (addr lsl 11) lor (node lsl 1) lor op in
-  if not (Hashtbl.mem c.seen key) then begin
-    Hashtbl.add c.seen key ();
+  if Seen.add c.seen key then begin
     if c.run_open && c.r_node = node && c.r_write = write then begin
       if c.r_count = 1 then begin
         c.r_stride <- addr - c.r_last;
@@ -302,7 +365,7 @@ let attach ?sample_presends ~app ~protocol ~arena_blocks machine =
       cur_presend = false;
       ev = Array.make 1024 0;
       ev_len = 0;
-      seen = Hashtbl.create 4096;
+      seen = Seen.create ();
       run_open = false;
       r_node = 0;
       r_write = false;

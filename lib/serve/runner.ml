@@ -85,9 +85,10 @@ let prepare ?apps (spec : Job.spec) =
    baseline protocol at the base block size by a single instrumented run.
    The first predict job against a profile compiles a {!Model.predictor}
    and evaluates it over {e every} block size job validation admits (the
-   14 powers of two in [8, 65536]) — the whole design space costs a few
-   hundred milliseconds next to the seconds-scale collection run, and it
-   makes every warm what-if a table lookup rather than a replay.  The
+   14 powers of two in [8, 65536]).  For the scaled 8-node apps the
+   compile (one baseline replay) and the 14 evaluations take 0.06-0.24 s
+   on 2 vCPUs, about as long as the 0.10-0.38 s collection run, and they
+   make every warm what-if a table lookup rather than a replay.  The
    mutex is held across collection: two racing cold predict jobs for the
    same key would otherwise both simulate.  A different key's cold job
    does wait behind it — acceptable for a cache that fills once per app. *)

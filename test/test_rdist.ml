@@ -239,6 +239,98 @@ let qcheck_segments_match_programs =
              | None -> true
              | Some msg -> QCheck2.Test.fail_reportf "%s@.%s" msg printed)))
 
+(* -- first-touch set -------------------------------------------------------- *)
+
+(* Random (node, word, op) streams, one list per phase segment, through a
+   profile collector on a bare machine whose fault handlers only grant the
+   access.  Every segment has more distinct keys than the collector's
+   first-touch set starts with (1024 slots), so the set grows inside
+   segments, and keys repeat within and across segments.  Expanding the
+   collected runs must give exactly each segment's first occurrences, in
+   order: a key lost when the set grows comes back as a second occurrence,
+   and one a reset lets through from the previous segment goes missing. *)
+let ft_nodes = 4
+let ft_words = 1024
+
+let first_touch_streams seed =
+  let st = Random.State.make [| seed |] in
+  let keys =
+    Array.init (ft_nodes * ft_words * 2) (fun k ->
+        (k mod ft_nodes, k / ft_nodes mod ft_words, k >= ft_nodes * ft_words))
+  in
+  List.init
+    (2 + Random.State.int st 3)
+    (fun _ ->
+      (* A fresh random sample of distinct keys, each followed now and then
+         by a repeat of an earlier one. *)
+      for i = Array.length keys - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let k = keys.(i) in
+        keys.(i) <- keys.(j);
+        keys.(j) <- k
+      done;
+      List.concat
+        (List.init
+           (1100 + Random.State.int st 900)
+           (fun i ->
+             if i > 0 && Random.State.int st 4 = 0 then [ keys.(i); keys.(Random.State.int st i) ]
+             else [ keys.(i) ])))
+
+let first_occurrences stream =
+  let seen = Hashtbl.create 1024 in
+  List.filter
+    (fun key ->
+      let fresh = not (Hashtbl.mem seen key) in
+      Hashtbl.replace seen key ();
+      fresh)
+    stream
+
+let collect_streams segs =
+  let m = Machine.create (Machine.default_config ~num_nodes:ft_nodes ~block_bytes:32 ()) in
+  let grant ~node b = Machine.set_tag m ~node b Ccdsm_tempest.Tag.Read_write in
+  Machine.install m { Machine.on_read_fault = grant; on_write_fault = grant };
+  let base = Machine.alloc m ~words:ft_words ~home:0 in
+  let profile, () =
+    Profile.collect ~app:"stream" ~protocol:"none" ~arena_blocks:1 m (fun () ->
+        List.iteri
+          (fun id seg ->
+            Machine.notify_phase m ~enter:true ~id ~name:"seg" ~scheduled:false;
+            List.iter
+              (fun (node, word, write) ->
+                if write then Machine.write m ~node (base + word) 0.0
+                else ignore (Machine.read m ~node (base + word)))
+              seg;
+            Machine.notify_phase m ~enter:false ~id ~name:"seg" ~scheduled:false)
+          segs)
+  in
+  Array.map
+    (fun (s : Profile.segment) ->
+      List.concat_map
+        (function
+          | Profile.Run { node; write; addr; stride; count } ->
+              List.init count (fun k -> (node, addr + (k * stride) - base, write))
+          | Profile.Alloc _ | Profile.Heap_alloc _ | Profile.Flush _ -> [])
+        (Array.to_list s.Profile.events))
+    profile.Profile.segments
+
+let qcheck_first_touch_set =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"collected runs = each segment's first touches"
+       ~print:string_of_int QCheck2.Gen.int (fun seed ->
+         let segs = first_touch_streams seed in
+         let got = collect_streams segs in
+         let want = List.map first_occurrences segs in
+         if Array.length got <> List.length want then
+           QCheck2.Test.fail_reportf "%d segments collected, %d run" (Array.length got)
+             (List.length want);
+         List.iteri
+           (fun i w ->
+             if got.(i) <> w then
+               QCheck2.Test.fail_reportf "segment %d: %d first touches collected, %d expected" i
+                 (List.length got.(i)) (List.length w))
+           want;
+         true))
+
 let suite =
   [
     ( "rdist",
@@ -256,5 +348,6 @@ let suite =
         Alcotest.test_case "model segments = real runs on the validation apps" `Slow
           test_segments_match_apps;
         qcheck_segments_match_programs;
+        qcheck_first_touch_set;
       ] );
   ]

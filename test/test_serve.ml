@@ -14,6 +14,12 @@ module Job = Ccdsm_serve.Job
 module Cache = Ccdsm_serve.Cache
 module Runner = Ccdsm_serve.Runner
 module Server = Ccdsm_serve.Server
+module Machine = Ccdsm_tempest.Machine
+module Network = Ccdsm_tempest.Network
+module Shared_heap = Ccdsm_runtime.Shared_heap
+module Profile = Ccdsm_rdist.Profile
+module Model = Ccdsm_rdist.Model
+module Json = Ccdsm_util.Json
 
 let check = Alcotest.check
 
@@ -270,6 +276,71 @@ let test_runner_matches_direct_run () =
          ~run:tiny_app ())
   in
   check Alcotest.string "byte-identical to a direct harness run" direct served
+
+(* The served predict path at every block size [Job] admits, on the 4-node
+   jacobi of the predictor's validation set (its predictive replays grant
+   presends): each answer equals the model evaluated on a profile collected
+   the way the runner collects one (stache, 32-byte blocks), and the
+   fourteen jobs share that one profile. *)
+let test_runner_predict_matches_model () =
+  let jacobi =
+    List.find
+      (fun a -> a.Ccdsm_harness.Predict_check.app_name = "jacobi")
+      (Ccdsm_harness.Predict_check.apps ())
+  in
+  let run rt =
+    jacobi.Ccdsm_harness.Predict_check.app_run rt;
+    0.0
+  in
+  let job block_bytes =
+    Job.parse
+      (Printf.sprintf
+         {|{"kind":"predict","app":"jacobi","protocol":"predictive","nodes":4,"block_bytes":%d}|}
+         block_bytes)
+  in
+  List.iter
+    (fun b -> check Alcotest.bool (Printf.sprintf "%d B rejected" b) true (Result.is_error (job b)))
+    [ 4; 131072 ];
+  let before = Runner.profile_count () in
+  let cfg = Machine.default_config ~num_nodes:4 ~block_bytes:32 () in
+  let rt = Runtime.create ~cfg ~protocol:Runtime.Stache () in
+  let profile, _ =
+    Profile.collect ~app:"jacobi" ~protocol:"stache"
+      ~arena_blocks:(Shared_heap.arena_blocks (Runtime.heap rt))
+      (Runtime.machine rt)
+      (fun () -> run rt)
+  in
+  let protocol = Model.Predictive { coalesce = true; conflict_action = `Ignore } in
+  let pr =
+    match Model.prepare profile ~net:Network.default ~protocol with
+    | Ok pr -> pr
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun block_bytes ->
+      let served =
+        match
+          Result.bind (job block_bytes) (fun r ->
+              Runner.prepare ~apps:[ ("jacobi", true, run) ] r.Job.spec)
+        with
+        | Ok p -> Runner.execute p
+        | Error msg -> Alcotest.fail msg
+      in
+      let want =
+        match Model.eval pr ~block_bytes with Ok p -> p | Error msg -> Alcotest.fail msg
+      in
+      let field key =
+        match Result.bind (Json.parse served) Json.(field key int) with
+        | Ok v -> v
+        | Error msg -> Alcotest.fail msg
+      in
+      let label key = Printf.sprintf "%s at %d B" key block_bytes in
+      check Alcotest.int (label "faults") want.Model.faults (field "faults");
+      check Alcotest.int (label "msgs") want.Model.msgs (field "msgs");
+      check Alcotest.int (label "bytes") want.Model.bytes (field "bytes");
+      check Alcotest.int (label "presends") want.Model.presends (field "presends"))
+    (List.init 14 (fun i -> 8 lsl i));
+  check Alcotest.int "one profile collected" (before + 1) (Runner.profile_count ())
 
 (* -- Server end-to-end ----------------------------------------------------- *)
 
@@ -569,6 +640,8 @@ let suite =
         Alcotest.test_case "cache cancel" `Quick test_cache_cancel;
         Alcotest.test_case "runner unknown names" `Quick test_runner_unknown_names;
         Alcotest.test_case "runner matches direct run" `Quick test_runner_matches_direct_run;
+        Alcotest.test_case "runner predict matches the model" `Quick
+          test_runner_predict_matches_model;
         Alcotest.test_case "serve miss then hit" `Quick test_serve_miss_then_hit;
         Alcotest.test_case "serve concurrent dedup" `Quick test_serve_concurrent_dedup;
         Alcotest.test_case "serve structured errors" `Quick test_serve_structured_errors;

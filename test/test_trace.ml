@@ -233,9 +233,12 @@ let test_sanitizer_presend_to_recorded () =
   let m = mk () in
   ignore (Sanitizer.attach m);
   Machine.emit m (Trace.Sched_record { phase = 0; block = 3; node = 1; write = false });
+  Machine.emit m (Trace.Sched_record { phase = 1; block = 3; node = 2; write = false });
   Machine.emit m (Trace.Presend { phase = 0; block = 3; dst = 1; write = false });
-  (* A flush clears the recorded consumers: the same presend is now stale. *)
+  (* A flush clears the flushed phase's recorded consumers: the same presend
+     is now stale, while another phase's record of the same block stands. *)
   Machine.emit m (Trace.Sched_flush { phase = 0 });
+  Machine.emit m (Trace.Presend { phase = 1; block = 3; dst = 2; write = false });
   expect_violation "presend after flush" (fun () ->
       Machine.emit m (Trace.Presend { phase = 0; block = 3; dst = 1; write = false }))
 
