@@ -100,7 +100,9 @@ let make_leaf mem ~node ~depth ~body ~mass ~x ~y ~z =
   done;
   a
 
-let octant ~cx ~cy ~cz ~x ~y ~z =
+(* Float-typed, so the comparisons compile to float compares rather than
+   polymorphic ones. *)
+let octant ~(cx : float) ~(cy : float) ~(cz : float) ~x ~y ~z =
   (if x >= cx then 1 else 0) + (if y >= cy then 2 else 0) + (if z >= cz then 4 else 0)
 
 let oct_center ~cx ~cy ~cz ~half oct =

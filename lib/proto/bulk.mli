@@ -7,7 +7,9 @@
 val runs : int list -> (int * int) list
 (** [runs blocks] groups a list of block ids into maximal runs of
     consecutive ids, returned as [(first, count)] in ascending order.  The
-    input need not be sorted; duplicates are merged. *)
+    input need not be sorted; duplicates are merged.  A strictly descending
+    list, the order {!Cost.push} builds from an ascending scan, is folded
+    without a sort. *)
 
 val runs_of_array : int array -> (int * int) list
 (** As {!runs}, over an array.  The argument is not modified (the sort

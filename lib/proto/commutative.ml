@@ -72,7 +72,7 @@ let readers_of t b =
   ensure t b;
   t.readers.(b)
 
-let dirty_blocks t = List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) t.dirty [])
+let dirty_blocks t = List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) t.dirty [])
 let engine t = t.eng
 
 (* Fold one privatized block back into its canonical home copy: every remote
@@ -160,17 +160,14 @@ let merge_phase t =
   if blocks <> [] then begin
     let cost = t.eng.Engine.cost in
     let ctrl = Cost.ctrl cost in
-    let pushes : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 32 in
-    let invals : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 32 in
+    let pushes = Cost.queue () and invals = Cost.queue () in
     List.iter
       (fun b ->
         let h = Machine.home m b in
-        Nodeset.iter (fun w -> if w <> h then Cost.push pushes (w, h) b) t.writers.(b);
-        Nodeset.iter (fun r -> if r <> h then Cost.push invals (h, r) b) t.readers.(b))
+        Nodeset.iter (fun w -> if w <> h then Cost.push pushes ~src:w ~dst:h b) t.writers.(b);
+        Nodeset.iter (fun r -> if r <> h then Cost.push invals ~src:h ~dst:r b) t.readers.(b))
       blocks;
-    let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []) in
-    List.iter
-      (fun ((w, h) as key) ->
+    Cost.iter_sorted pushes (fun ~src:w ~dst:h bl ->
         List.iter
           (fun (first, len) ->
             let bytes = Cost.run_bytes cost len in
@@ -179,17 +176,13 @@ let merge_phase t =
               ~cost:(Engine.msg_cost t.eng ~bytes);
             t.merge_msgs <- t.merge_msgs + 1;
             t.merge_bytes <- t.merge_bytes + bytes)
-          (Bulk.runs !(Hashtbl.find pushes key)))
-      (sorted_keys pushes);
-    List.iter
-      (fun ((h, r) as key) ->
-        let bl = !(Hashtbl.find invals key) in
+          (Bulk.runs bl));
+    Cost.iter_sorted invals (fun ~src:h ~dst:r bl ->
         let bytes = Cost.notice_bytes cost (List.length bl) in
         Engine.exchange t.eng ~bucket:Machine.Presend ~payer:h ~block:(List.hd bl)
           [ (h, r, Trace.Inval, bytes); (r, h, Trace.Ack, ctrl) ]
           ~cost:(Engine.msg_cost t.eng ~bytes +. Engine.msg_cost t.eng ~bytes:ctrl);
-        t.inval_notices <- t.inval_notices + 1)
-      (sorted_keys invals);
+        t.inval_notices <- t.inval_notices + 1);
     List.iter
       (fun b ->
         let h = Machine.home m b in

@@ -83,16 +83,13 @@ let push_updates t =
   let m = t.machine in
   (* Collect (producer, consumer) -> dirty block list, then coalesce each
      list into bulk messages. *)
-  let pairs : (int * int, Machine.block list ref) Hashtbl.t = Hashtbl.create 64 in
+  let pairs = Cost.queue () in
   Hashtbl.iter
     (fun b () ->
       let o = owner t b in
-      Nodeset.iter (fun s -> if s <> o then Cost.push pairs (o, s) b) t.subs.(b))
+      Nodeset.iter (fun s -> if s <> o then Cost.push pairs ~src:o ~dst:s b) t.subs.(b))
     t.dirty;
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) pairs [] in
-  List.iter
-    (fun ((o, s) as key) ->
-      let blocks = !(Hashtbl.find pairs key) in
+  Cost.iter_sorted pairs (fun ~src:o ~dst:s blocks ->
       List.iter
         (fun (_, len) ->
           let bytes = Cost.run_bytes t.cost len in
@@ -101,8 +98,7 @@ let push_updates t =
           t.update_msgs <- t.update_msgs + 1;
           t.update_blocks <- t.update_blocks + len;
           t.update_bytes <- t.update_bytes + bytes)
-        (Bulk.runs blocks))
-    (List.sort compare keys);
+        (Bulk.runs blocks));
   (* Re-arm dirty tracking: the owner's next write faults locally. *)
   Hashtbl.iter (fun b () -> Machine.set_tag m ~node:(owner t b) b Tag.Read_only) t.dirty;
   Hashtbl.reset t.dirty
@@ -111,7 +107,7 @@ let subscribers t b =
   ensure t b;
   t.subs.(b)
 
-let dirty_blocks t = List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) t.dirty [])
+let dirty_blocks t = List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) t.dirty [])
 
 let create machine =
   let t =

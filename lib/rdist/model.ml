@@ -332,13 +332,13 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
   let set_tag node b v = Bytes.unsafe_set tags ((node * nb) + b) v in
   Array.iteri (fun b h -> set_tag h b tag_rw) l.l_homes;
   let dir = Array.init nb (fun b -> Excl l.l_homes.(b)) in
-  let schedules : (int, Schedule.t) Hashtbl.t = Hashtbl.create 16 in
+  let schedules = Inttbl.create 16 in
   let schedule_for phase =
-    match Hashtbl.find_opt schedules phase with
+    match Inttbl.find_opt schedules phase with
     | Some s -> s
     | None ->
         let s = Schedule.create () in
-        Hashtbl.add schedules phase s;
+        Inttbl.add schedules phase s;
         s
   in
   let cur = { r_rf = 0; r_wf = 0; r_gr = 0; r_msgs = 0; r_bytes = 0; r_wait = 0.0; r_pre = 0.0 } in
@@ -391,7 +391,7 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
   in
   (* The predictive protocol's presend scan (fault-free) and flush. *)
   let presend phase =
-    match (protocol, Hashtbl.find_opt schedules phase) with
+    match (protocol, Inttbl.find_opt schedules phase) with
     | Stache, _ | _, None -> ()
     | Predictive _, Some sched when Schedule.cardinal sched = 0 -> ()
     | Predictive { coalesce; conflict_action }, Some sched ->
@@ -414,7 +414,7 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
                 | Excl o ->
                     set_tag o b tag_ro;
                     dir.(b) <- Shared (Nodeset.singleton o);
-                    if o <> h then Cost.push q.recall (o, h) b
+                    if o <> h then Cost.push q.recall ~src:o ~dst:h b
                 | Shared _ -> ());
                 let cur_set = match dir.(b) with Shared s -> s | Excl _ -> assert false in
                 let missing = Nodeset.diff rs cur_set in
@@ -423,7 +423,7 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
                     (fun r ->
                       set_tag r b tag_ro;
                       cur.r_gr <- cur.r_gr + 1;
-                      if r <> h then Cost.push q.data (h, r) b)
+                      if r <> h then Cost.push q.data ~src:h ~dst:r b)
                     missing;
                   dir.(b) <- Shared (Nodeset.union cur_set rs)
                 end
@@ -433,17 +433,18 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
                   (match dir.(b) with
                   | Excl o ->
                       set_tag o b tag_inv;
-                      if o <> h then Cost.push q.recall (o, h) b
+                      if o <> h then Cost.push q.recall ~src:o ~dst:h b
                   | Shared readers ->
                       Nodeset.iter
                         (fun r ->
                           set_tag r b tag_inv;
-                          if r <> h then Cost.bump q.inval (h, r))
+                          if r <> h then Cost.bump q.inval ~src:h ~dst:r)
                         (Nodeset.remove w readers));
                   set_tag w b tag_rw;
                   cur.r_gr <- cur.r_gr + 1;
                   (if w <> h then
-                     if had_copy then Cost.bump q.grant (h, w) else Cost.push q.data (h, w) b);
+                     if had_copy then Cost.bump q.grant ~src:h ~dst:w
+                     else Cost.push q.data ~src:h ~dst:w b);
                   dir.(b) <- Excl w
                 end);
         List.iter
@@ -475,7 +476,7 @@ let replay (p : Profile.t) (f : flat) ~net ~block_bytes ~protocol =
         let code = Array.unsafe_get ev !i in
         if code < 0 then begin
           (* schedule flush *)
-          (match Hashtbl.find_opt schedules (Array.unsafe_get ev (!i + 1)) with
+          (match Inttbl.find_opt schedules (Array.unsafe_get ev (!i + 1)) with
           | Some sc -> Schedule.clear sc
           | None -> ());
           i := !i + ev_stride

@@ -1,6 +1,7 @@
 module Machine = Ccdsm_tempest.Machine
 module Trace = Ccdsm_tempest.Trace
 module Json = Ccdsm_util.Json
+module Seen = Ccdsm_util.Seen
 
 type event =
   | Run of { node : int; write : bool; addr : int; stride : int; count : int }
@@ -39,70 +40,6 @@ let machine_buckets = Machine.all_buckets
 let nmb = List.length machine_buckets
 
 (* -- collection --------------------------------------------------------- *)
-
-(* The first-touch set: the (node, word, op) keys seen in the open segment,
-   open-addressed in one flat int array.  Slot [i] holds its key at [2i] and,
-   at [2i+1], the generation that stored it; a slot is live only while that
-   stamp is the current generation.  So [clear] empties the set with one
-   increment, and the table keeps its grown size from segment to segment. *)
-module Seen = struct
-  type t = {
-    mutable slots : int array;
-    mutable bits : int;  (* log2 of the slot count *)
-    mutable live : int;
-    mutable gen : int;  (* from 1: a fresh slot's stamp 0 is never live *)
-  }
-
-  let initial_bits = 10
-
-  let create () = { slots = Array.make (2 lsl initial_bits) 0; bits = initial_bits; live = 0; gen = 1 }
-
-  let clear t =
-    t.gen <- t.gen + 1;
-    t.live <- 0
-
-  (* Multiplicative hashing: the top [bits] bits of the key times an odd
-     constant near 2^62 divided by the golden ratio, so keys that differ
-     only in their low bits (node, op) still spread. *)
-  let home bits key = (key * 0x278DDE6E5FD29F05) lsr (Sys.int_size - bits)
-
-  (* The key's slot: where it lives, or the first free slot of its probe
-     sequence.  Indices are masked, so the unchecked reads stay in range. *)
-  let find slots bits gen key =
-    let mask = (1 lsl bits) - 1 in
-    let i = ref (home bits key) in
-    while
-      Array.unsafe_get slots ((2 * !i) + 1) = gen && Array.unsafe_get slots (2 * !i) <> key
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow t =
-    let old = t.slots in
-    t.bits <- t.bits + 1;
-    t.slots <- Array.make (2 lsl t.bits) 0;
-    for i = 0 to (Array.length old / 2) - 1 do
-      if old.((2 * i) + 1) = t.gen then begin
-        let j = find t.slots t.bits t.gen old.(2 * i) in
-        t.slots.(2 * j) <- old.(2 * i);
-        t.slots.((2 * j) + 1) <- t.gen
-      end
-    done
-
-  (* Add [key]; [false] if it was already in the set.  The table doubles
-     when it is half full. *)
-  let add t key =
-    let i = find t.slots t.bits t.gen key in
-    if Array.unsafe_get t.slots ((2 * i) + 1) = t.gen then false
-    else begin
-      Array.unsafe_set t.slots (2 * i) key;
-      Array.unsafe_set t.slots ((2 * i) + 1) t.gen;
-      t.live <- t.live + 1;
-      if 2 * t.live > 1 lsl t.bits then grow t;
-      true
-    end
-end
 
 (* Internal event stream: packed 5-int cells [kind; a; b; c; d] so the hot
    path only bumps an int array.  kind 0 = read run (node, addr, stride,

@@ -10,6 +10,8 @@ module Engine = Ccdsm_proto.Engine
 module Coherence = Ccdsm_proto.Coherence
 module Schedule = Ccdsm_core.Schedule
 module Predictive = Ccdsm_core.Predictive
+module Runtime = Ccdsm_runtime.Runtime
+module Barnes = Ccdsm_apps.Barnes
 
 let check = Alcotest.check
 let tag = Alcotest.testable Tag.pp Tag.equal
@@ -142,6 +144,75 @@ let test_schedule_sorted_iteration () =
   let order = ref [] in
   Schedule.iter_sorted s (fun b _ -> order := b :: !order);
   check Alcotest.(list int) "ascending" [ 1; 2; 5; 9 ] (List.rev !order)
+
+(* Random interleavings of recording, the fault-injection hooks, flushes
+   and scans, against a Hashtbl reference of the transitions: every scan
+   visits exactly the live blocks, ascending, with their current marks.
+   Scans between the steps exercise the merge of keys recorded since the
+   previous scan, and removals and re-marks of merged and unmerged keys. *)
+let test_schedule_iter_sorted_prop =
+  let open QCheck2.Gen in
+  let block = int_range 0 40 and node = int_range 0 1023 in
+  let op =
+    frequency
+      [
+        (10, map2 (fun b n -> `Read (b, n)) block node);
+        (10, map2 (fun b n -> `Write (b, n)) block node);
+        (3, map (fun b -> `Remove b) block);
+        (3, map2 (fun b n -> `Set (b, Schedule.Readers (Nodeset.singleton n))) block node);
+        (3, map2 (fun b n -> `Set (b, Schedule.Writer n)) block node);
+        (1, pure `Clear);
+        (4, pure `Scan);
+      ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"schedule scans visit live blocks in order"
+       (list_size (int_range 0 200) op)
+       (fun ops ->
+         let s = Schedule.create () and r = Hashtbl.create 16 in
+         let scan_ok () =
+           let visited = ref [] in
+           Schedule.iter_sorted s (fun b mark -> visited := (b, mark) :: !visited);
+           List.rev !visited
+           = List.sort
+               (fun (a, _) (b, _) -> Int.compare a b)
+               (Hashtbl.fold (fun b mark acc -> (b, mark) :: acc) r [])
+         in
+         List.for_all
+           (function
+             | `Read (b, n) ->
+                 Schedule.record_read s b ~reader:n;
+                 Hashtbl.replace r b
+                   (match Hashtbl.find_opt r b with
+                   | None -> Schedule.Readers (Nodeset.singleton n)
+                   | Some (Schedule.Readers rs) -> Schedule.Readers (Nodeset.add n rs)
+                   | Some (Schedule.Writer w) -> Schedule.Conflict (Schedule.Pre_writer w)
+                   | Some c -> c);
+                 true
+             | `Write (b, n) ->
+                 Schedule.record_write s b ~writer:n;
+                 Hashtbl.replace r b
+                   (match Hashtbl.find_opt r b with
+                   | None | Some (Schedule.Writer _) -> Schedule.Writer n
+                   | Some (Schedule.Readers rs) -> Schedule.Conflict (Schedule.Pre_readers rs)
+                   | Some c -> c);
+                 true
+             | `Remove b ->
+                 Schedule.remove s b;
+                 Hashtbl.remove r b;
+                 true
+             | `Set (b, mark) ->
+                 Schedule.set_mark s b mark;
+                 Hashtbl.replace r b mark;
+                 true
+             | `Clear ->
+                 Schedule.clear s;
+                 Hashtbl.reset r;
+                 true
+             | `Scan -> scan_ok ())
+           ops
+         && scan_ok ()
+         && Schedule.cardinal s = Hashtbl.length r))
 
 let test_schedule_record_after_flush () =
   (* A flushed schedule rebuilds from scratch: no stale marks, no stale
@@ -438,6 +509,36 @@ let test_predictive_bulk_coalescing () =
   check Alcotest.int "stat = messages sent uncoalesced" sent st.Predictive.presend_msgs;
   check Alcotest.int "two blocks granted uncoalesced" 2 st.Predictive.presend_blocks
 
+(* Predictive Barnes at the figures' reduced scale (2048 bodies, 3
+   iterations) on 8 nodes with 64 B blocks: the presend counters pinned at
+   non-zero values.  [presend_undone] is the counter that reads the
+   presended set, so a set left uncleared at phase entry, or one that
+   collides two (node, block) grants, moves it. *)
+let test_predictive_barnes_counters () =
+  let cfg = { Barnes.default with Barnes.n_bodies = 2048; iterations = 3 } in
+  let r =
+    Runtime.create
+      ~cfg:(Machine.default_config ~num_nodes:8 ~block_bytes:64 ())
+      ~protocol:Runtime.Predictive ()
+  in
+  ignore (Barnes.run r cfg);
+  let st = Predictive.stats (Option.get (Runtime.predictive r)) in
+  let stats = (Runtime.coherence r).Coherence.stats () in
+  let stat name = int_of_float (List.assoc name stats) in
+  List.iter
+    (fun (name, expected, got) -> check Alcotest.int name expected got)
+    [
+      ("presend_undone", 372, st.Predictive.presend_undone);
+      ("presend_redundant", 2233, st.Predictive.presend_redundant);
+      ("presend_grants_read", 41843, st.Predictive.presend_grants_r);
+      ("presend_grants_write", 2627, st.Predictive.presend_grants_w);
+      ("presend_msgs", 532, st.Predictive.presend_msgs);
+      ("presend_blocks", 41053, st.Predictive.presend_blocks);
+      ("faults_recorded", 53348, st.Predictive.faults_recorded);
+      ("schedule_entries", 12202, stat "schedule_entries");
+      ("schedule_conflicts", 19144, stat "schedule_conflicts");
+    ]
+
 let test_predictive_equivalence_with_stache =
   (* Whatever the phase directives, predictive must compute the same values
      as plain Stache on a random racy-free access pattern. *)
@@ -481,6 +582,7 @@ let suite =
         Alcotest.test_case "pre-conflict capture" `Quick test_schedule_pre_conflict;
         Alcotest.test_case "clear" `Quick test_schedule_clear;
         Alcotest.test_case "sorted iteration" `Quick test_schedule_sorted_iteration;
+        test_schedule_iter_sorted_prop;
         Alcotest.test_case "record after flush" `Quick test_schedule_record_after_flush;
         Alcotest.test_case "duplicate records idempotent" `Quick
           test_schedule_duplicate_records_idempotent;
@@ -506,6 +608,7 @@ let suite =
         Alcotest.test_case "presend bucket charged" `Quick
           test_predictive_presend_charges_presend_bucket;
         Alcotest.test_case "bulk coalescing" `Quick test_predictive_bulk_coalescing;
+        Alcotest.test_case "barnes presend counters" `Quick test_predictive_barnes_counters;
         test_predictive_equivalence_with_stache;
       ] );
   ]

@@ -42,9 +42,22 @@ let test_bulk_runs () =
   check Alcotest.int "message count" 3 (Bulk.message_count [ 9; 1; 3; 2; 7; 10; 2 ])
 
 let test_bulk_runs_prop =
+  (* Random lists, plus the shapes with their own paths: ascending,
+     strictly descending (the order presend queues build, folded without a
+     sort) and descending with every block twice (which leaves that fold
+     at the first duplicate). *)
+  let blocks = QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 60)) in
+  let descending l = List.rev (List.sort_uniq Int.compare l) in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"bulk runs cover exactly the input set"
-       QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 60))
+       QCheck2.Gen.(
+         oneof
+           [
+             blocks;
+             map (List.sort Int.compare) blocks;
+             map descending blocks;
+             map (fun l -> List.concat_map (fun b -> [ b; b ]) (descending l)) blocks;
+           ])
        (fun blocks ->
          let expanded =
            List.concat_map (fun (s, l) -> List.init l (fun k -> s + k)) (Bulk.runs blocks)
@@ -349,12 +362,12 @@ let test_cost_shapes () =
 let test_cost_flush () =
   let c = Cost.make Network.default ~block_bytes:32 in
   let q = Cost.queues () in
-  List.iter (Cost.push q.Cost.recall (3, 1)) [ 9; 5; 6 ];
-  Cost.bump q.Cost.inval (1, 2);
-  Cost.bump q.Cost.inval (1, 2);
-  List.iter (Cost.push q.Cost.data (1, 0)) [ 6; 5 ];
-  Cost.bump q.Cost.grant (1, 0);
-  Cost.bump q.Cost.grant (1, 2);
+  List.iter (Cost.push q.Cost.recall ~src:3 ~dst:1) [ 9; 5; 6 ];
+  Cost.bump q.Cost.inval ~src:1 ~dst:2;
+  Cost.bump q.Cost.inval ~src:1 ~dst:2;
+  List.iter (Cost.push q.Cost.data ~src:1 ~dst:0) [ 6; 5 ];
+  Cost.bump q.Cost.grant ~src:1 ~dst:0;
+  Cost.bump q.Cost.grant ~src:1 ~dst:2;
   let shape (g : Cost.msg) =
     ( g.Cost.payer,
       g.Cost.src,
@@ -399,12 +412,64 @@ let test_cost_flush () =
         g.Cost.us)
     (Cost.flush c ~coalesce:true q)
 
+(* Random queues over node ids up to 1023: each group of the flush comes in
+   ascending (src, dst) order of its pairs, and the messages do not depend
+   on the order the items were queued in (reversed, every block list
+   arrives ascending instead of descending). *)
+let test_cost_flush_prop =
+  let open QCheck2.Gen in
+  let node = oneof [ int_range 0 1023; oneofl [ 0; 1; 1022; 1023 ] ] in
+  let item = quad (int_range 0 3) node node (int_range 0 60) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"flush groups ascend and ignore queueing order"
+       (list_size (int_range 0 80) item)
+       (fun items ->
+         let c = Cost.make Network.default ~block_bytes:32 in
+         let fill items =
+           let q = Cost.queues () in
+           List.iter
+             (fun (k, src, dst, b) ->
+               match k with
+               (* a recall comes from an owner other than the home *)
+               | 0 -> if src <> dst then Cost.push q.Cost.recall ~src ~dst b
+               | 1 -> Cost.bump q.Cost.inval ~src ~dst
+               | 2 -> Cost.push q.Cost.data ~src ~dst b
+               | _ -> Cost.bump q.Cost.grant ~src ~dst)
+             items;
+           q
+         in
+         let rec ascending ~strict = function
+           | a :: (b :: _ as rest) -> (if strict then a < b else a <= b) && ascending ~strict rest
+           | _ -> true
+         in
+         List.for_all
+           (fun coalesce ->
+             let msgs = Cost.flush c ~coalesce (fill items) in
+             (* the (src, dst) pairs of the messages [keep] selects *)
+             let pairs keep =
+               List.filter_map
+                 (fun (g : Cost.msg) -> if keep g then Some (g.Cost.src, g.Cost.dst) else None)
+                 msgs
+             in
+             let kind k (g : Cost.msg) = g.Cost.kind = k in
+             (* a recall goes from the home to the owner, the queue's src *)
+             ascending ~strict:true (List.map (fun (h, o) -> (o, h)) (pairs (kind Trace.Recall)))
+             && ascending ~strict:true (pairs (kind Trace.Inval))
+             (* grants with data leave the home that pays for them; a
+                recalled block list is paid by its destination *)
+             && ascending ~strict:false
+                  (pairs (fun g -> kind Trace.Data g && g.Cost.payer = g.Cost.src))
+             && ascending ~strict:true (pairs (kind Trace.Grant))
+             && msgs = Cost.flush c ~coalesce (fill (List.rev items)))
+           [ true; false ]))
+
 let suite =
   [
     ( "proto.cost",
       [
         Alcotest.test_case "fetch and invalidation shapes" `Quick test_cost_shapes;
         Alcotest.test_case "presend flush messages" `Quick test_cost_flush;
+        test_cost_flush_prop;
       ] );
     ( "proto.bulk",
       [
