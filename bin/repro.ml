@@ -635,12 +635,14 @@ let run_check depth seed faults nodes blocks jobs replay mode protocols =
       print_string (D.render cells);
       let cexs = D.failures cells in
       if cexs <> [] then begin
-        print_newline ();
+        (* The counterexamples go to stderr, so they reach the log even
+           when stdout is a file (a test rule's target, a pipe). *)
+        flush stdout;
         List.iter
           (fun cex ->
-            Format.printf "%a@." Ccdsm_check.Explore.pp_counterexample cex;
+            Format.eprintf "@.%a@." Ccdsm_check.Explore.pp_counterexample cex;
             let path = Ccdsm_check.Artifacts.write cex in
-            Printf.printf "counterexample written to %s\n" path)
+            Printf.eprintf "counterexample written to %s\n" path)
           cexs;
         exit 1
       end
