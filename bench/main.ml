@@ -231,11 +231,11 @@ let test_flat_tag_lookup =
             (Sys.opaque_identity
                (Machine.tag m ~node:(!i land 1023) (b0 + (!i land 1023))))))
 
-let test_sharded_directory_hit =
-  Test.make ~name:"micro-sharded-directory-hit"
+let test_directory_hit =
+  Test.make ~name:"micro-directory-hit"
     (Staged.stage
-       (* Directory lookups with 1024 blocks spread across all 64 homes, so
-          hits land in every shard of the sharded directory. *)
+       (* Directory lookups in the flat store, 1024 blocks spread across all
+          64 homes. *)
        (let m = Machine.create (Machine.default_config ~num_nodes:64 ~block_bytes:32 ()) in
         let wpb = Machine.words_per_block m in
         let blocks =
@@ -246,7 +246,7 @@ let test_sharded_directory_hit =
         in
         let dir = Ccdsm_proto.Directory.create m in
         Array.iter
-          (fun b -> Ccdsm_proto.Directory.set dir b (Ccdsm_proto.Directory.Exclusive (Machine.home_of_block m b)))
+          (fun b -> Ccdsm_proto.Directory.set dir b (Ccdsm_proto.Directory.Exclusive (Machine.home m b)))
           blocks;
         let i = ref 0 in
         fun () ->
@@ -373,7 +373,7 @@ let tests =
       test_aggregate_addr;
       test_read_range;
       test_flat_tag_lookup;
-      test_sharded_directory_hit;
+      test_directory_hit;
       test_phase_step_1024;
       test_presend_cached_sort;
       test_read_unprofiled;

@@ -90,16 +90,6 @@ let migratory_threshold_arg =
            detection; routed through the protocol registry's per-protocol \
            option records).")
 
-let step_jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "step-jobs" ] ~docv:"N"
-        ~doc:
-          "OCaml domains for each simulated machine's event-sharded step loop \
-           (per-directory-shard presend work; default 1 = sequential).  Output \
-           is byte-identical at any value.")
-
 let scaling_nodes_arg =
   Arg.(
     value
@@ -130,18 +120,15 @@ let parse_scaling_nodes = function
                  exit 124)
            parts)
 
-(* --jobs and --step-jobs share CCDSM_JOBS's sanity cap
-   (Parjobs.max_jobs = 4x the recommended domain count): a typo like
-   --jobs 1000000 must die with the one-line exit-124 diagnostic, not
-   attempt to spawn a million domains. *)
-let check_jobs_cap ~what n =
-  try Ccdsm_harness.Parjobs.validate_jobs ~what n
-  with Invalid_argument msg ->
-    Printf.eprintf "repro: %s\n" msg;
-    exit 124
-
-let check_jobs_opt = Option.map (fun n -> check_jobs_cap ~what:"--jobs" n)
-let check_step_jobs n = check_jobs_cap ~what:"--step-jobs" n
+(* --jobs shares CCDSM_JOBS's sanity cap (Parjobs.max_jobs = 4x the
+   recommended domain count): a typo like --jobs 1000000 must die with the
+   one-line exit-124 diagnostic, not attempt to spawn a million domains. *)
+let check_jobs_opt =
+  Option.map (fun n ->
+      try Ccdsm_harness.Parjobs.validate_jobs ~what:"--jobs" n
+      with Invalid_argument msg ->
+        Printf.eprintf "repro: %s\n" msg;
+        exit 124)
 
 let check_migratory_threshold n =
   if n < 1 then begin
@@ -555,10 +542,9 @@ let run_faults full nodes jobs metrics protocols =
 let run_ablate full nodes metrics =
   with_metrics metrics (fun () -> print_string (E.ablations ~num_nodes:nodes (scale full)))
 
-let run_scaling full jobs metrics nodes step_jobs =
+let run_scaling full jobs metrics nodes =
   let nodes = parse_scaling_nodes nodes in
-  let step_jobs = check_step_jobs step_jobs in
-  with_metrics metrics (fun () -> print_string (E.scaling ?jobs ?nodes ~step_jobs (scale full)))
+  with_metrics metrics (fun () -> print_string (E.scaling ?jobs ?nodes (scale full)))
 
 let run_inspector full metrics =
   with_metrics metrics (fun () -> print_string (E.inspector (scale full)))
@@ -1133,9 +1119,7 @@ let cmds =
     cmd "faults" "Fault-injection robustness grid (drops/dups/delays/schedule corruption)"
       Term.(const run_faults $ full_arg $ nodes_arg $ jobs_term $ metrics_arg $ protocols_arg);
     cmd "scaling" "Node-count scaling (extension; up to 1024 nodes with --nodes)"
-      Term.(
-        const run_scaling $ full_arg $ jobs_term $ metrics_arg $ scaling_nodes_arg
-        $ step_jobs_arg);
+      Term.(const run_scaling $ full_arg $ jobs_term $ metrics_arg $ scaling_nodes_arg);
     cmd "inspector" "Inspector-executor comparison (section 2)"
       Term.(const run_inspector $ full_arg $ metrics_arg);
     cmd "trace" "Summarize a JSONL coherence trace captured with --trace"

@@ -102,9 +102,8 @@ let record t ~node b ~write =
 
 (* Send the flush messages [Cost] derives from the queues, each charged to
    the home that waits for it, then the closing barrier.  The queues are
-   flushed in globally sorted key order, so the same contents produce the
-   same messages and charges whether one scan or several shard scans built
-   them. *)
+   flushed in sorted key order, so the same contents produce the same
+   messages and charges. *)
 let flush_presend t (q : Cost.queues) =
   let m = t.machine in
   (match t.run_len_hist with
@@ -129,40 +128,10 @@ let flush_presend t (q : Cost.queues) =
      that all protocol cache block states are stable" (section 3.4). *)
   Machine.barrier m ~bucket:Machine.Presend
 
-(* What one scan leaves for later: the flush queues, the protocol stats,
-   and — for a shard scan, which may not touch them while other shards run
-   — the effects whose target is not confined to the scanned blocks' home
-   shard: per-node invalidation/downgrade counters (a victim can live on
-   any node) and the phase's presended set.  Each is a commutative integer
-   add or a set insert, so folding several shard plans in after a parallel
-   scan reproduces the sequential totals exactly. *)
-type plan = {
-  q : Cost.queues;
-  deferred : bool;
-  mutable invalidated : int list;  (* victim nodes, reverse scan order *)
-  mutable downgraded : int list;
-  mutable granted : int list;  (* grant keys *)
-  mutable redundant : int;
-  mutable grants_r : int;
-  mutable grants_w : int;
-}
-
-let note_downgrade t p node =
-  if p.deferred then p.downgraded <- node :: p.downgraded
-  else Machine.note_downgrade t.machine ~node
-
-let note_invalidation t p node =
-  if p.deferred then p.invalidated <- node :: p.invalidated
-  else Machine.note_invalidation t.machine ~node
-
-let note_granted t p ~node b =
-  let key = Nodeset.pack b ~node in
-  if p.deferred then p.granted <- key :: p.granted else ignore (Seen.add t.presended key)
-
-(* The presend scan over the schedule's blocks, or only over those homed
-   in [shard], in ascending block order.  Tags, directory entries and the
-   Presend charges at the blocks' homes are applied in place; everything
-   else goes into the returned plan.
+(* The presend scan over the schedule's blocks in ascending block order.
+   Tags, directory entries, counters and the Presend charges at the blocks'
+   homes are applied in place; the messages go into the returned flush
+   queues.
 
    Fault injection interposes on the per-(block, destination) grants — the
    presend's semantic unit — and the verdict is drawn BEFORE any tag or
@@ -173,28 +142,12 @@ let note_granted t p ~node b =
    counted; only remote destinations draw a verdict, since a grant to the
    home node moves no message.  The bulk recall/invalidation legs stay
    reliable — the injector models lossy delivery of the speculative grants,
-   which is where the predictive protocol's graceful degradation lives.
-   Verdicts come from a sequential PRNG and trace events have an order, so
-   [presend] runs shard scans in parallel only when neither is live. *)
-let scan t ~phase sched ~shard =
+   which is where the predictive protocol's graceful degradation lives. *)
+let scan t ~phase sched =
   let m = t.machine in
   let dir = t.eng.Engine.dir in
   let cost = t.eng.Engine.cost in
-  let keep =
-    match shard with None -> fun _ -> true | Some s -> fun b -> Machine.shard_of_block m b = s
-  in
-  let p =
-    {
-      q = Cost.queues ();
-      deferred = Option.is_some shard;
-      invalidated = [];
-      downgraded = [];
-      granted = [];
-      redundant = 0;
-      grants_r = 0;
-      grants_w = 0;
-    }
-  in
+  let q = Cost.queues () in
   let inj = Machine.faults m in
   let verdict_for ~dst ~(h : int) =
     match inj with Some f when dst <> h -> Faults.verdict f | _ -> Faults.Deliver
@@ -220,138 +173,96 @@ let scan t ~phase sched ~shard =
         Machine.charge m ~node:h Machine.Presend (Faults.plan f).Faults.delay_us
     | _ -> ()
   in
+  let note_presended ~node b = ignore (Seen.add t.presended (Nodeset.pack b ~node)) in
   Schedule.iter_sorted sched (fun b mark ->
-      if keep b then begin
-        let h = Machine.home m b in
-        Machine.charge m ~node:h Machine.Presend Cost.presend_block_us;
-        match Schedule.presend_mark t.conflict_action mark with
-        | Schedule.Conflict _ -> ()
-        | Schedule.Readers rs ->
-            (* Bring the data home (downgrading any writer), then forward
-               readable copies to every marked reader lacking one. *)
-            (match Directory.get dir b with
-            | Directory.Exclusive o ->
-                note_downgrade t p o;
-                Machine.set_tag m ~node:o b Tag.Read_only;
-                Directory.set dir b (Directory.Shared (Nodeset.singleton o));
-                if o <> h then Cost.push p.q.recall ~src:o ~dst:h b
-            | Directory.Shared _ -> ());
-            let cur =
-              match Directory.get dir b with
-              | Directory.Shared s -> s
-              | Directory.Exclusive _ -> assert false
-            in
-            let missing = Nodeset.diff rs cur in
-            if Nodeset.is_empty missing then p.redundant <- p.redundant + 1
-            else begin
-              let dropped = ref Nodeset.empty in
-              let bytes = Cost.grant_bytes cost ~with_data:true in
-              Nodeset.iter
-                (fun r ->
-                  match verdict_for ~dst:r ~h with
-                  | Faults.Drop ->
-                      dropped := Nodeset.add r !dropped;
-                      drop_grant ~h ~dst:r ~kind:Trace.Data ~bytes b
-                  | v ->
-                      grant_noise ~h ~dst:r ~kind:Trace.Data ~bytes v;
-                      Machine.set_tag m ~node:r b Tag.Read_only;
-                      note_granted t p ~node:r b;
-                      (* Mirrors the Presend trace event one-for-one, so a
-                         trace-derived count agrees with this counter to
-                         the exact integer. *)
-                      p.grants_r <- p.grants_r + 1;
-                      if Machine.observed m then
-                        Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
-                      if r <> h then Cost.push p.q.data ~src:h ~dst:r b)
-                missing;
-              let granted = if Nodeset.is_empty !dropped then rs else Nodeset.diff rs !dropped in
-              Directory.set dir b (Directory.Shared (Nodeset.union cur granted))
-            end
-        | Schedule.Writer w ->
-            if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
-              p.redundant <- p.redundant + 1
-            else begin
-              let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
-              let kind = if had_copy then Trace.Grant else Trace.Data in
-              let bytes = Cost.grant_bytes cost ~with_data:(not had_copy) in
-              match verdict_for ~dst:w ~h with
-              | Faults.Drop ->
-                  (* The write grant never arrives, so the whole block
-                     action is skipped — no invalidations, no directory
-                     change: the writer's demand miss does them later. *)
-                  drop_grant ~h ~dst:w ~kind ~bytes b
-              | v ->
-                  grant_noise ~h ~dst:w ~kind ~bytes v;
-                  (match Directory.get dir b with
-                  | Directory.Exclusive o ->
-                      note_invalidation t p o;
-                      Machine.set_tag m ~node:o b Tag.Invalid;
-                      if o <> h then Cost.push p.q.recall ~src:o ~dst:h b
-                  | Directory.Shared readers ->
-                      Nodeset.iter
-                        (fun r ->
-                          note_invalidation t p r;
-                          Machine.set_tag m ~node:r b Tag.Invalid;
-                          if r <> h then Cost.bump p.q.inval ~src:h ~dst:r)
-                        (Nodeset.remove w readers));
-                  Machine.set_tag m ~node:w b Tag.Read_write;
-                  note_granted t p ~node:w b;
-                  p.grants_w <- p.grants_w + 1;
-                  if Machine.observed m then
-                    Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
-                  (if w <> h then
-                     if had_copy then Cost.bump p.q.grant ~src:h ~dst:w
-                     else Cost.push p.q.data ~src:h ~dst:w b);
-                  Directory.set dir b (Directory.Exclusive w)
-            end
-      end);
-  p
+      let h = Machine.home m b in
+      Machine.charge m ~node:h Machine.Presend Cost.presend_block_us;
+      match Schedule.presend_mark t.conflict_action mark with
+      | Schedule.Conflict _ -> ()
+      | Schedule.Readers rs ->
+          (* Bring the data home (downgrading any writer), then forward
+             readable copies to every marked reader lacking one. *)
+          (match Directory.get dir b with
+          | Directory.Exclusive o ->
+              Machine.note_downgrade m ~node:o;
+              Machine.set_tag m ~node:o b Tag.Read_only;
+              Directory.set dir b (Directory.Shared (Nodeset.singleton o));
+              if o <> h then Cost.push q.recall ~src:o ~dst:h b
+          | Directory.Shared _ -> ());
+          let cur =
+            match Directory.get dir b with
+            | Directory.Shared s -> s
+            | Directory.Exclusive _ -> assert false
+          in
+          let missing = Nodeset.diff rs cur in
+          if Nodeset.is_empty missing then t.st.presend_redundant <- t.st.presend_redundant + 1
+          else begin
+            let dropped = ref Nodeset.empty in
+            let bytes = Cost.grant_bytes cost ~with_data:true in
+            Nodeset.iter
+              (fun r ->
+                match verdict_for ~dst:r ~h with
+                | Faults.Drop ->
+                    dropped := Nodeset.add r !dropped;
+                    drop_grant ~h ~dst:r ~kind:Trace.Data ~bytes b
+                | v ->
+                    grant_noise ~h ~dst:r ~kind:Trace.Data ~bytes v;
+                    Machine.set_tag m ~node:r b Tag.Read_only;
+                    note_presended ~node:r b;
+                    (* Mirrors the Presend trace event one-for-one, so a
+                       trace-derived count agrees with this counter to the
+                       exact integer. *)
+                    t.st.presend_grants_r <- t.st.presend_grants_r + 1;
+                    if Machine.observed m then
+                      Machine.emit m (Trace.Presend { phase; block = b; dst = r; write = false });
+                    if r <> h then Cost.push q.data ~src:h ~dst:r b)
+              missing;
+            let granted = if Nodeset.is_empty !dropped then rs else Nodeset.diff rs !dropped in
+            Directory.set dir b (Directory.Shared (Nodeset.union cur granted))
+          end
+      | Schedule.Writer w ->
+          if Tag.equal (Machine.tag m ~node:w b) Tag.Read_write then
+            t.st.presend_redundant <- t.st.presend_redundant + 1
+          else begin
+            let had_copy = Tag.permits_read (Machine.tag m ~node:w b) in
+            let kind = if had_copy then Trace.Grant else Trace.Data in
+            let bytes = Cost.grant_bytes cost ~with_data:(not had_copy) in
+            match verdict_for ~dst:w ~h with
+            | Faults.Drop ->
+                (* The write grant never arrives, so the whole block action
+                   is skipped — no invalidations, no directory change: the
+                   writer's demand miss does them later. *)
+                drop_grant ~h ~dst:w ~kind ~bytes b
+            | v ->
+                grant_noise ~h ~dst:w ~kind ~bytes v;
+                (match Directory.get dir b with
+                | Directory.Exclusive o ->
+                    Machine.note_invalidation m ~node:o;
+                    Machine.set_tag m ~node:o b Tag.Invalid;
+                    if o <> h then Cost.push q.recall ~src:o ~dst:h b
+                | Directory.Shared readers ->
+                    Nodeset.iter
+                      (fun r ->
+                        Machine.note_invalidation m ~node:r;
+                        Machine.set_tag m ~node:r b Tag.Invalid;
+                        if r <> h then Cost.bump q.inval ~src:h ~dst:r)
+                      (Nodeset.remove w readers));
+                Machine.set_tag m ~node:w b Tag.Read_write;
+                note_presended ~node:w b;
+                t.st.presend_grants_w <- t.st.presend_grants_w + 1;
+                if Machine.observed m then
+                  Machine.emit m (Trace.Presend { phase; block = b; dst = w; write = true });
+                (if w <> h then
+                   if had_copy then Cost.bump q.grant ~src:h ~dst:w
+                   else Cost.push q.data ~src:h ~dst:w b);
+                Directory.set dir b (Directory.Exclusive w)
+          end);
+  q
 
-(* Presend dispatch.  With step parallelism asked for and the run
-   fault-free, unobserved and unmetered (observer calls and instrument
-   bumps are not thread-safe), the scan splits across domains by directory
-   shard.  Everything a shard scan mutates concurrently is shard-exclusive —
-   tags and directory entries are block-local and a block's shard is a pure
-   function of its home; Presend charges land on home nodes of the owning
-   shard — and the plans are folded in sequentially in shard order, so the
-   output is byte-identical to the one-domain scan at any job count (pinned
-   by the jobs-equivalence qcheck property). *)
 let presend t phase =
   match Inttbl.find_opt t.schedules phase with
-  | None -> ()
-  | Some sched when Schedule.cardinal sched = 0 -> ()
-  | Some sched ->
-      let m = t.machine in
-      let jobs = min (Machine.step_jobs m) (Machine.num_shards m) in
-      let plans =
-        if
-          jobs > 1
-          && (not (Machine.observed m))
-          && Option.is_none (Machine.obs m)
-          && Option.is_none (Machine.faults m)
-        then begin
-          (* Force the schedule's sorted-key cache on this domain, so the
-             shard scans only read the schedule, and pre-grow the directory
-             store, so they mutate disjoint, pre-existing elements of it. *)
-          ignore (Schedule.sorted_keys sched);
-          Directory.reserve t.eng.Engine.dir;
-          Fanout.run ~jobs (Machine.num_shards m) (fun shard ->
-              scan t ~phase sched ~shard:(Some shard))
-        end
-        else [| scan t ~phase sched ~shard:None |]
-      in
-      let q = plans.(0).q in
-      Array.iteri
-        (fun i p ->
-          List.iter (fun node -> Machine.note_downgrade m ~node) (List.rev p.downgraded);
-          List.iter (fun node -> Machine.note_invalidation m ~node) (List.rev p.invalidated);
-          List.iter (fun key -> ignore (Seen.add t.presended key)) p.granted;
-          t.st.presend_redundant <- t.st.presend_redundant + p.redundant;
-          t.st.presend_grants_r <- t.st.presend_grants_r + p.grants_r;
-          t.st.presend_grants_w <- t.st.presend_grants_w + p.grants_w;
-          if i > 0 then Cost.merge ~into:q p.q)
-        plans;
-      flush_presend t q
+  | Some sched when Schedule.cardinal sched > 0 -> flush_presend t (scan t ~phase sched)
+  | _ -> ()
 
 (* -- schedule corruption (fault injection) -------------------------------- *)
 

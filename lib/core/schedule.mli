@@ -71,13 +71,6 @@ val iter_sorted : t -> (block -> mark -> unit) -> unit
 (** Iterate entries in ascending block order (the order the presend phase
     scans, so neighbouring blocks coalesce). *)
 
-val sorted_keys : t -> block array
-(** The ascending block array behind {!iter_sorted}, computing and caching
-    it if stale.  The returned array is the cache itself — do not mutate.
-    Forcing it up front makes subsequent {!iter_sorted}/{!find} calls pure
-    reads, which is what lets the event-sharded presend iterate one schedule
-    from several domains at once. *)
-
 val nth_sorted : t -> int -> block
 (** The [i]-th block in ascending block order; raises [Invalid_argument]
     when [i] is outside [0, cardinal t).  Used by the fault injector to pick

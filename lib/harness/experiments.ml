@@ -602,7 +602,7 @@ let faults_grid ?num_nodes ?jobs ?protocols scale =
 
 let default_scaling_nodes = [ 4; 8; 16; 32; 48 ]
 
-let scaling ?jobs ?(nodes = default_scaling_nodes) ?(step_jobs = 1) scale =
+let scaling ?jobs ?(nodes = default_scaling_nodes) scale =
   List.iter
     (fun p ->
       if p < 1 || p > Ccdsm_util.Nodeset.max_nodes then
@@ -616,7 +616,7 @@ let scaling ?jobs ?(nodes = default_scaling_nodes) ?(step_jobs = 1) scale =
     Parjobs.map ?jobs
       (fun p ->
         let m protocol label =
-          Measure.measure ~num_nodes:p ~step_jobs ~app:"water"
+          Measure.measure ~num_nodes:p ~app:"water"
             (Measure.version ~label ~protocol ~block_bytes:32 run)
         in
         let unopt = m Runtime.Stache "unopt" and opt = m Runtime.Predictive "opt" in

@@ -104,14 +104,11 @@ val faults_grid :
 val default_scaling_nodes : int list
 (** [[4; 8; 16; 32; 48]] — the machine sizes [repro all] reports. *)
 
-val scaling : ?jobs:int -> ?nodes:int list -> ?step_jobs:int -> scale -> string
+val scaling : ?jobs:int -> ?nodes:int list -> scale -> string
 (** Extension beyond the paper: total time and optimized speedup as the
     machine grows (Water, 32-byte blocks).  [nodes] (default
     {!default_scaling_nodes}) may range up to
-    [Ccdsm_util.Nodeset.max_nodes] = 1024; [Invalid_argument] otherwise.
-    [step_jobs] (default 1) sets each simulated machine's event-sharded
-    step-loop parallelism — the rendered table is byte-identical at any
-    value. *)
+    [Ccdsm_util.Nodeset.max_nodes] = 1024; [Invalid_argument] otherwise. *)
 
 val check_shapes : fig5:figure -> fig6:figure -> fig7:figure -> (string * bool) list
 (** Evaluate the paper's qualitative claims against measured figures

@@ -109,8 +109,7 @@ let fold_run reg rt ~checksum =
   | None -> ()
   | Some f -> List.iter (add_stat reg) (Faults.stats f)
 
-let measure ?(num_nodes = 32) ?(step_jobs = 1) ?faults ?(sanitize = false)
-    ?(check_races = true) ?app v =
+let measure ?(num_nodes = 32) ?faults ?(sanitize = false) ?(check_races = true) ?app v =
   let parent = Obs.global () in
   (* Per-measurement child registry: live instruments (machine, protocol,
      runtime spans) resolve against it while the version runs, so concurrent
@@ -119,9 +118,7 @@ let measure ?(num_nodes = 32) ?(step_jobs = 1) ?faults ?(sanitize = false)
      installed at all and the machine runs unmetered. *)
   let child = Obs.Registry.create () in
   let run () =
-    let cfg =
-      Machine.default_config ~num_nodes ~block_bytes:v.block_bytes ~net:v.net ~step_jobs ()
-    in
+    let cfg = Machine.default_config ~num_nodes ~block_bytes:v.block_bytes ~net:v.net () in
     let rt =
       Runtime.create ~cfg ~presend_coalesce:v.coalesce ~conflict_action:v.conflict_action
         ~sanitize ~check_races ~protocol:v.protocol ()

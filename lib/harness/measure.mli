@@ -53,7 +53,6 @@ val protocol_name : Runtime.protocol -> string
 
 val measure :
   ?num_nodes:int ->
-  ?step_jobs:int ->
   ?faults:Ccdsm_tempest.Faults.plan ->
   ?sanitize:bool ->
   ?check_races:bool ->
@@ -61,9 +60,7 @@ val measure :
   version ->
   measurement
 (** Build a fresh machine (default 32 nodes, the paper's CM-5 size), run the
-    version, and collect the breakdown.  [step_jobs] (default 1) is the
-    machine's event-sharded step-loop parallelism budget — results are
-    byte-identical at any value.  [faults] installs the given fault
+    version, and collect the breakdown.  [faults] installs the given fault
     plan on the machine (overriding any [CCDSM_FAULTS] environment plan; a
     zero plan removes the injector, making the run bit-identical to a
     fault-free one).  [sanitize] attaches the online invariant sanitizer.

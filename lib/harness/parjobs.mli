@@ -26,7 +26,7 @@ val env_jobs : unit -> int option
     diagnostic. *)
 
 val max_jobs : unit -> int
-(** The sanity cap shared by [CCDSM_JOBS], [--jobs] and [--step-jobs]:
+(** The sanity cap shared by [CCDSM_JOBS] and [--jobs]:
     [Domain.recommended_domain_count () * 4]. *)
 
 val validate_jobs : what:string -> int -> int

@@ -1,16 +1,15 @@
 (* A persistent work-stealing pool of OCaml 5 domains.
 
-   This generalizes the harness's original fan-out-and-join ([Parjobs] used
-   to spawn domains per call via [Ccdsm_util.Fanout]) into a long-lived
-   pool: workers are spawned once, steal work items from a shared deque, and
+   A long-lived pool rather than a fan-out-and-join that spawns domains per
+   call: workers are spawned once, steal work items from a shared deque, and
    survive across submissions — the shape a serving process needs to keep
    the machine hot between requests.
 
-   Determinism contract (the same one Fanout carried): which worker runs a
-   job never affects its value, only its wall-clock.  Results are collected
-   through per-job tickets, so callers that await tickets in submission
-   order observe exactly the fan-out-and-join semantics; callers that want
-   completion order (the serving layer) let each job publish its own result.
+   Determinism contract: which worker runs a job never affects its value,
+   only its wall-clock.  Results are collected through per-job tickets, so
+   callers that await tickets in submission order observe exactly the
+   fan-out-and-join semantics; callers that want completion order (the
+   serving layer) let each job publish its own result.
 
    Every job's outcome is captured — value, or exception with its raw
    backtrace from the worker domain — so a poisonous job can never take a

@@ -7,7 +7,7 @@
     the life of the process.
 
     Jobs must be self-contained (no shared mutable state between jobs) —
-    the callers own that argument, exactly as with [Ccdsm_util.Fanout].
+    the callers own that argument.
     Every job outcome is captured per job: a raising job never kills a
     worker, and the exception is re-raised at the awaiting caller with the
     worker-side backtrace intact. *)

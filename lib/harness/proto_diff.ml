@@ -43,9 +43,8 @@ let all_protocols () =
       | Error msg -> invalid_arg msg)
     (Runtime.protocol_names ())
 
-let run_one ~nodes ~block_bytes ~step_jobs ~migratory_threshold ~faults ~check_races ~run
-    protocol =
-  let cfg = Machine.default_config ~num_nodes:nodes ~block_bytes ~step_jobs () in
+let run_one ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races ~run protocol =
+  let cfg = Machine.default_config ~num_nodes:nodes ~block_bytes () in
   let rt =
     Runtime.create ~cfg ~migratory_threshold ~sanitize:true ~check_races ~protocol ()
   in
@@ -68,13 +67,11 @@ let run_one ~nodes ~block_bytes ~step_jobs ~migratory_threshold ~faults ~check_r
     stats = (Runtime.coherence rt).Ccdsm_proto.Coherence.stats ();
   }
 
-let run ?protocols ?(nodes = 8) ?(block_bytes = 32) ?(step_jobs = 1)
-    ?(migratory_threshold = 1) ?faults ?(check_races = true) ~app ~run () =
+let run ?protocols ?(nodes = 8) ?(block_bytes = 32) ?(migratory_threshold = 1) ?faults
+    ?(check_races = true) ~app ~run () =
   let protocols = match protocols with Some ps -> ps | None -> all_protocols () in
   let rows =
-    List.map
-      (run_one ~nodes ~block_bytes ~step_jobs ~migratory_threshold ~faults ~check_races ~run)
-      protocols
+    List.map (run_one ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races ~run) protocols
   in
   let agree =
     match rows with

@@ -47,7 +47,6 @@ val run :
   ?protocols:Runtime.protocol list ->
   ?nodes:int ->
   ?block_bytes:int ->
-  ?step_jobs:int ->
   ?migratory_threshold:int ->
   ?faults:Ccdsm_tempest.Faults.plan ->
   ?check_races:bool ->
@@ -57,10 +56,9 @@ val run :
   report
 (** Run [run] once per protocol (default: all registered) on a fresh
     sanitized machine ([nodes] default 8, [block_bytes] default 32) and
-    compare heap digests.  [step_jobs] (default 1) sets each machine's
-    event-sharded step-loop parallelism and [migratory_threshold] (default
-    1) the migratory protocol's detection threshold — both carried through
-    the per-protocol option records.  [faults] installs a fault plan on
+    compare heap digests.  [migratory_threshold] (default 1) sets the
+    migratory protocol's detection threshold, carried through the
+    per-protocol option records.  [faults] installs a fault plan on
     every run (a zero plan removes the injector); [check_races] feeds the
     sanitizer (disable for legitimate multi-writer apps like Barnes).
     @raise Ccdsm_proto.Sanitizer.Violation if any protocol's trace breaks

@@ -135,13 +135,6 @@ type queues = {
 
 let queues () = { recall = queue (); inval = queue (); data = queue (); grant = queue () }
 
-let merge ~into q =
-  let add dst src = Inttbl.iter (Inttbl.add dst) src in
-  add into.recall q.recall;
-  add into.inval q.inval;
-  add into.data q.data;
-  add into.grant q.grant
-
 type msg = {
   payer : int;
   src : int;

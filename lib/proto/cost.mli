@@ -135,11 +135,6 @@ type queues = {
 
 val queues : unit -> queues
 
-val merge : into:queues -> queues -> unit
-(** Add the second queues' pairs to [into].  The two must share no pair:
-    the shard scans of one presend qualify, because every pair contains the
-    block's home and each shard scans only the blocks homed in it. *)
-
 type msg = {
   payer : int;  (** the home node that waits for this message *)
   src : int;

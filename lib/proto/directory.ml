@@ -7,14 +7,7 @@ module Obs = Ccdsm_obs.Obs
 type entry = Exclusive of int | Shared of Nodeset.t
 
 (* The store is one flat array indexed by block — a get or set is a single
-   load, which matters because every demand miss consults the directory.
-   The event-sharded step loop still partitions directory work by home-node
-   shard ([Machine.shard_of_block]): distinct shards own disjoint block
-   numbers, so per-shard planning domains mutate disjoint elements of this
-   array, which is race-free.  The one operation that is NOT shard-local is
-   growing the array; [reserve] pre-grows it to the machine's current block
-   count and MUST be called before fanning planning out across domains
-   (planning never allocates blocks, so no growth happens mid-plan). *)
+   load, which matters because every demand miss consults the directory. *)
 type t = {
   machine : Machine.t;
   mutable entries : entry option array;
@@ -45,10 +38,6 @@ let ensure t b =
     Array.blit t.entries 0 entries 0 (Array.length t.entries);
     t.entries <- entries
   end
-
-let reserve t =
-  let n = Machine.num_blocks t.machine in
-  if n > 0 then ensure t (n - 1)
 
 let get t b =
   let es = t.entries in

@@ -19,13 +19,6 @@ val create : Ccdsm_tempest.Machine.t -> t
 val get : t -> Ccdsm_tempest.Machine.block -> entry
 val set : t -> Ccdsm_tempest.Machine.block -> entry -> unit
 
-val reserve : t -> unit
-(** Pre-grow the store to cover every block allocated so far.  The
-    event-sharded step loop calls this before fanning planning out across
-    domains: per-shard planners then mutate disjoint, pre-existing elements
-    of the flat store (blocks of distinct home shards never collide), and no
-    growth — the only non-shard-local mutation — can happen mid-plan. *)
-
 val holders : t -> Ccdsm_tempest.Machine.block -> Nodeset.t
 (** All nodes with a valid copy (the writer, or the reader set). *)
 

@@ -8,7 +8,6 @@ type spec = {
   protocol : string;
   nodes : int;
   block_bytes : int;
-  step_jobs : int;
   migratory_threshold : int;
   faults : Faults.plan option;
   scale : [ `Scaled | `Paper ];
@@ -23,10 +22,7 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 (* -- spec extraction ------------------------------------------------------ *)
 
 let known_keys =
-  [
-    "id"; "kind"; "app"; "protocol"; "nodes"; "block_bytes"; "step_jobs"; "migratory_threshold";
-    "faults"; "scale";
-  ]
+  [ "id"; "kind"; "app"; "protocol"; "nodes"; "block_bytes"; "migratory_threshold"; "faults"; "scale" ]
 
 (* Integral floats such as 8.0 count as integers. *)
 let int_range key lo hi v =
@@ -88,9 +84,6 @@ let parse line =
         let nodes = int_opt "nodes" ~default:8 1 Ccdsm_util.Nodeset.max_nodes in
         let block_bytes = int_opt "block_bytes" ~default:32 8 65536 in
         if not (is_pow2 block_bytes) then bad "\"block_bytes\" must be a power of two >= 8";
-        let step_jobs = int_opt "step_jobs" ~default:1 1 max_int in
-        (try ignore (Ccdsm_harness.Parjobs.validate_jobs ~what:"\"step_jobs\"" step_jobs)
-         with Invalid_argument msg -> bad "%s" msg);
         let migratory_threshold = int_opt "migratory_threshold" ~default:1 1 1_000_000 in
         let faults =
           match str "faults" with
@@ -118,18 +111,7 @@ let parse line =
         Ok
           {
             id;
-            spec =
-              {
-                kind;
-                app;
-                protocol;
-                nodes;
-                block_bytes;
-                step_jobs;
-                migratory_threshold;
-                faults;
-                scale;
-              };
+            spec = { kind; app; protocol; nodes; block_bytes; migratory_threshold; faults; scale };
           }
       with Bad msg -> Error ("bad job spec: " ^ msg))
 
@@ -160,7 +142,6 @@ let canonical spec =
   Buffer.add_string buf (Json.quote spec.protocol);
   Buffer.add_string buf
     (Printf.sprintf ",\"scale\":\"%s\"" (match spec.scale with `Scaled -> "scaled" | `Paper -> "paper"));
-  Buffer.add_string buf (Printf.sprintf ",\"step_jobs\":%d" spec.step_jobs);
   Buffer.add_char buf '}';
   Buffer.contents buf
 

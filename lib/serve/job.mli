@@ -5,7 +5,7 @@
 
     {v
     {"id":17,"app":"water","protocol":"predictive","nodes":8,
-     "block_bytes":32,"step_jobs":1,"migratory_threshold":1,
+     "block_bytes":32,"migratory_threshold":1,
      "faults":"drop=0.05,seed=42","scale":"scaled"}
     v}
 
@@ -31,7 +31,6 @@ type spec = {
   protocol : string;  (** a {!Ccdsm_proto.Registry} name *)
   nodes : int;  (** in [1, Nodeset.max_nodes] (default 8) *)
   block_bytes : int;  (** power of two >= 8 (default 32) *)
-  step_jobs : int;  (** event-sharded step-loop domains (default 1) *)
   migratory_threshold : int;  (** migratory option record (default 1) *)
   faults : Ccdsm_tempest.Faults.plan option;  (** zero plans normalize to [None] *)
   scale : [ `Scaled | `Paper ];  (** data-set sizes (default [`Scaled]) *)

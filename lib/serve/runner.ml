@@ -198,7 +198,7 @@ let execute = function
       let spec = p.spec in
       let report =
         Proto_diff.run ~protocols:[ p.protocol ] ~nodes:spec.nodes ~block_bytes:spec.block_bytes
-          ~step_jobs:spec.step_jobs ~migratory_threshold:spec.migratory_threshold
+          ~migratory_threshold:spec.migratory_threshold
           ?faults:spec.faults ~check_races:p.check_races ~app:p.app_name ~run:p.run_app ()
       in
       result_json report
@@ -250,10 +250,7 @@ let record_slow ~key ~run_ms = function
   | Predict _ -> ()
   | Sim p ->
       let spec = p.spec in
-      let cfg =
-        Machine.default_config ~num_nodes:spec.nodes ~block_bytes:spec.block_bytes
-          ~step_jobs:spec.step_jobs ()
-      in
+      let cfg = Machine.default_config ~num_nodes:spec.nodes ~block_bytes:spec.block_bytes () in
       let rt =
         Runtime.create ~cfg ~migratory_threshold:spec.migratory_threshold ~sanitize:true
           ~check_races:p.check_races ~protocol:p.protocol ()

@@ -95,6 +95,9 @@ type t = {
   predict_profiles : Obs.Gauge.t;
   abandoned : Obs.Counter.t;
   connections : Obs.Counter.t;
+  io_reply : Obs.Counter.t;
+  io_reader : Obs.Counter.t;
+  io_http : Obs.Counter.t;
   queue_depth : Obs.Gauge.t;
   job_ms : Obs.Histogram.t;
 }
@@ -116,11 +119,37 @@ let write_all fd s =
     off := !off + w
   done
 
-let write_line conn line =
+(* A failed socket read or write: the connection (or HTTP request) is given
+   up, the failure counted on [ccdsm_serve_io_errors_total] by [site] and
+   logged as one stderr line. *)
+let io_error t site e =
+  let ctr, name =
+    match site with
+    | `Reply -> (t.io_reply, "reply")
+    | `Reader -> (t.io_reader, "reader")
+    | `Http -> (t.io_http, "http")
+  in
+  tick t (fun () -> Obs.Counter.inc ctr);
+  prerr_endline
+    (Printf.sprintf "{\"error\":%s,\"event\":\"io_error\",\"site\":\"%s\"}"
+       (Json.quote (Printexc.to_string e))
+       name)
+
+(* The first failed write marks the connection dead, so later replies to it
+   are dropped without another count. *)
+let write_line t conn line =
   Mutex.lock conn.wmutex;
-  (if conn.alive then
-     try write_all conn.fd (line ^ "\n") with _ -> conn.alive <- false);
-  Mutex.unlock conn.wmutex
+  let failed =
+    if not conn.alive then None
+    else
+      match write_all conn.fd (line ^ "\n") with
+      | () -> None
+      | exception e ->
+          conn.alive <- false;
+          Some e
+  in
+  Mutex.unlock conn.wmutex;
+  Option.iter (io_error t `Reply) failed
 
 let id_lit = function Some s -> s | None -> "null"
 
@@ -176,17 +205,17 @@ let send t conn ~id ~key ~kind outcome =
         | Result _ -> t.req_ok
         | Job_error _ -> t.req_error
         | Timeout -> t.req_timeout));
-  write_line conn (render ~id ~key ~kind outcome)
+  write_line t conn (render ~id ~key ~kind outcome)
 
 let send_spec_error t conn ~id msg =
   tick t (fun () -> Obs.Counter.inc t.req_error);
-  write_line conn
+  write_line t conn
     (Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"error\":%s}" (id_lit id)
        (Json.quote msg))
 
 let send_rejected t conn ~id ~key =
   tick t (fun () -> Obs.Counter.inc t.req_rejected);
-  write_line conn
+  write_line t conn
     (Printf.sprintf
        "{\"id\":%s,\"status\":\"rejected\",\"key\":\"%s\",\"error\":\"queue full (max_pending=%d)\"}"
        (id_lit id) key t.cfg.max_pending)
@@ -247,7 +276,7 @@ let handle_line t conn line =
         (* A state query, not a simulation: answered inline from the slow
            ring, never queued or cached. *)
         tick t (fun () -> Obs.Counter.inc t.req_ok);
-        write_line conn
+        write_line t conn
           (Printf.sprintf "{\"id\":%s,\"status\":\"ok\",\"result\":%s}" (id_lit id)
              (Runner.slow_jobs_json ()));
         log_job t ~id ~key:None ~cache:"timeline" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false
@@ -389,7 +418,7 @@ let reader_loop t conn =
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
   in
-  (try loop () with _ -> ());
+  (try loop () with e -> io_error t `Reader e);
   Mutex.lock conn.wmutex;
   conn.alive <- false;
   Mutex.unlock conn.wmutex
@@ -429,7 +458,7 @@ let metrics_text t =
 let handle_http t cfd =
   (try
      let buf = Bytes.create 4096 in
-     let n = try Unix.read cfd buf 0 (Bytes.length buf) with _ -> 0 in
+     let n = Unix.read cfd buf 0 (Bytes.length buf) in
      let req = if n > 0 then Bytes.sub_string buf 0 n else "" in
      let path =
        match String.split_on_char ' ' (List.hd (String.split_on_char '\r' (req ^ "\r"))) with
@@ -447,7 +476,7 @@ let handle_http t cfd =
           "HTTP/1.1 %s\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: \
            %d\r\nConnection: close\r\n\r\n%s"
           status (String.length body) body)
-   with _ -> ());
+   with e -> io_error t `Http e);
   try Unix.close cfd with _ -> ()
 
 (* -- lifecycle ------------------------------------------------------------ *)
@@ -515,6 +544,9 @@ let start cfg =
       predict_profiles = Obs.Registry.gauge registry "ccdsm_serve_predict_profiles";
       abandoned = counter "ccdsm_serve_jobs_abandoned_total";
       connections = counter "ccdsm_serve_connections_total";
+      io_reply = counter ~labels:[ ("site", "reply") ] "ccdsm_serve_io_errors_total";
+      io_reader = counter ~labels:[ ("site", "reader") ] "ccdsm_serve_io_errors_total";
+      io_http = counter ~labels:[ ("site", "http") ] "ccdsm_serve_io_errors_total";
       queue_depth = Obs.Registry.gauge registry "ccdsm_serve_queue_depth";
       job_ms =
         Obs.Registry.histogram registry

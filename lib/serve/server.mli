@@ -71,7 +71,11 @@ val http_port : t -> int option
 (** The bound metrics port (resolves a configured port [0]). *)
 
 val metrics_text : t -> string
-(** The Prometheus exposition served on [/metrics]. *)
+(** The Prometheus exposition served on [/metrics].  A failed socket read
+    or write gives up its connection (or HTTP request), counts one
+    [ccdsm_serve_io_errors_total] at its site (["reply"], ["reader"] or
+    ["http"]) and logs one [{"error":...,"event":"io_error","site":...}]
+    line to stderr. *)
 
 val run : config -> unit
 (** [start], install SIGTERM/SIGINT handlers, block until signalled, then

@@ -17,13 +17,10 @@ type config = {
   block_bytes : int;
   net : Network.t;
   local_access_us : float;
-  shards : int;
-  step_jobs : int;
 }
 
-let default_config ?(num_nodes = 32) ?(block_bytes = 32) ?(net = Network.default) ?(shards = 8)
-    ?(step_jobs = 1) () =
-  { num_nodes; block_bytes; net; local_access_us = 0.05; shards; step_jobs }
+let default_config ?(num_nodes = 32) ?(block_bytes = 32) ?(net = Network.default) () =
+  { num_nodes; block_bytes; net; local_access_us = 0.05 }
 
 type counters = {
   mutable local_reads : int;
@@ -138,9 +135,6 @@ type t = {
   local_us : float;  (* = cfg.local_access_us *)
   words_per_block : int;
   block_shift : int;  (* log2 words_per_block: block_of is a shift, not a division *)
-  nshards : int;
-  shard_mask : int;  (* = nshards - 1; shard of a block = home land shard_mask *)
-  step_jobs : int;
   mutable tags : tag_table;  (* nnodes lsl cap_shift bytes *)
   mutable cap_blocks : int;  (* tag-table block capacity, always a power of two *)
   mutable cap_shift : int;  (* log2 cap_blocks *)
@@ -256,9 +250,6 @@ let create cfg =
     invalid_arg "Machine.create: num_nodes out of range";
   if (not (is_pow2 cfg.block_bytes)) || cfg.block_bytes < 8 then
     invalid_arg "Machine.create: block_bytes must be a power of two >= 8";
-  if (not (is_pow2 cfg.shards)) || cfg.shards > Ccdsm_util.Nodeset.max_nodes then
-    invalid_arg "Machine.create: shards must be a power of two <= max_nodes";
-  if cfg.step_jobs < 1 then invalid_arg "Machine.create: step_jobs must be >= 1";
   let words_per_block = cfg.block_bytes / 8 in
   let meters =
     match Obs.global () with
@@ -302,9 +293,6 @@ let create cfg =
       local_us = cfg.local_access_us;
       words_per_block;
       block_shift = log2 words_per_block;
-      nshards = cfg.shards;
-      shard_mask = cfg.shards - 1;
-      step_jobs = cfg.step_jobs;
       tags;
       cap_blocks;
       cap_shift = log2 cap_blocks;
@@ -357,18 +345,6 @@ let base_addr t b = b lsl t.block_shift
 let home t b =
   if b < 0 || b >= t.nblocks then invalid_arg "Machine.home: bad block";
   t.homes.(b)
-
-let home_of_block = home
-
-(* -- sharding ------------------------------------------------------------ *)
-
-let num_shards t = t.nshards
-let step_jobs t = t.step_jobs
-let shard_of_home t h = h land t.shard_mask
-
-let shard_of_block t b =
-  if b < 0 || b >= t.nblocks then invalid_arg "Machine.shard_of_block: bad block";
-  t.homes.(b) land t.shard_mask
 
 (* -- growth ------------------------------------------------------------ *)
 

@@ -38,26 +38,10 @@ type config = {
   block_bytes : int;  (** power of two, >= 8 *)
   net : Network.t;
   local_access_us : float;  (** compute charge per tag-permitted shared access *)
-  shards : int;
-      (** directory shards, a power of two; a block's shard is
-          [home land (shards - 1)].  Pure layout: results are independent of
-          the shard count. *)
-  step_jobs : int;
-      (** domains the event-sharded step loop may use for one machine's
-          per-shard coherence work (1 = sequential).  Output is byte-identical
-          at any value. *)
 }
 
-val default_config :
-  ?num_nodes:int ->
-  ?block_bytes:int ->
-  ?net:Network.t ->
-  ?shards:int ->
-  ?step_jobs:int ->
-  unit ->
-  config
-(** 32 nodes, 32-byte blocks, {!Network.default}, 8 shards, 1 step job unless
-    overridden. *)
+val default_config : ?num_nodes:int -> ?block_bytes:int -> ?net:Network.t -> unit -> config
+(** 32 nodes, 32-byte blocks and {!Network.default} unless overridden. *)
 
 type counters = {
   mutable local_reads : int;
@@ -180,25 +164,6 @@ val num_blocks : t -> int
 val block_of : t -> addr -> block
 val base_addr : t -> block -> addr
 val home : t -> block -> int
-
-val home_of_block : t -> block -> int
-(** Alias of {!home}: the explicit home-node hash behind directory sharding. *)
-
-(** {1 Sharding}
-
-    Coherence work is partitioned into [num_shards] shards keyed by home
-    node ([shard = home land (num_shards - 1)]).  Blocks of distinct shards
-    are disjoint, so the event-sharded step loop can run per-shard coherence
-    work on separate domains that never touch the same block's state.
-    Sharding is pure partitioning — any shard count produces identical
-    results. *)
-
-val num_shards : t -> int
-val shard_of_home : t -> int -> int
-val shard_of_block : t -> block -> int
-
-val step_jobs : t -> int
-(** The configured intra-machine parallelism budget (see {!config}). *)
 
 (** {1 Tags (protocol-side)} *)
 

@@ -2,9 +2,8 @@
     charges into a causal {!Ccdsm_obs.Timeline.t}.
 
     [attach m] attaches one {!Machine.observer} taking events, completed
-    accesses, charges and stats resets (so [Machine.observed] becomes true,
-    which also gates off the sharded presend path — collection observes the
-    sequential schedule).  From then on every bucket charge, and the
+    accesses, charges and stats resets (so [Machine.observed] becomes
+    true).  From then on every bucket charge, and the
     Compute charge of every access, is replayed into the timeline's exact
     per-node accounting, and the event stream is folded into spans:
 

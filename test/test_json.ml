@@ -150,7 +150,7 @@ let trace_lines () =
          | _ -> false)
 
 let spec =
-  {|{"id":17,"app":"water","protocol":"predictive","nodes":8,"block_bytes":32,"step_jobs":1,"migratory_threshold":1,"faults":"drop=0.05,seed=42","scale":"scaled"}|}
+  {|{"id":17,"app":"water","protocol":"predictive","nodes":8,"block_bytes":32,"migratory_threshold":1,"faults":"drop=0.05,seed=42","scale":"scaled"}|}
 
 let parse = ("Json.parse", fun s -> ignore (Json.parse s))
 

@@ -207,38 +207,6 @@ let prop_fuzz_differential =
              | reference :: rest ->
                  List.for_all (fun b -> b = reference) rest && par = seq)))
 
-(* -- qcheck: the event-sharded step loop is invisible ---------------------- *)
-
-(* Same random program, same 256-node machine, presend work split across 1
-   vs 4 domains: the final heap digest and every node's counters must be
-   identical.  sanitize:false is load-bearing — the sanitizer subscribes as
-   a trace subscriber, and a traced machine pins the step loop to the
-   sequential path, so a sanitized run would never exercise the shards. *)
-let prop_step_jobs_equivalence =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:10
-       ~name:"random C** program: step_jobs 1 = step_jobs 4 at 256 nodes"
-       Test_cstar_fuzz.gen_program (fun ast ->
-         match Test_cstar_fuzz.compile_ast ast with
-         | Error (printed, errs) ->
-             QCheck2.Test.fail_reportf "did not compile:@.%s@.errors: %s" printed
-               (String.concat "; " errs)
-         | Ok (_, compiled) ->
-             let run step_jobs =
-               let rt =
-                 Runtime.create
-                   ~cfg:(Machine.default_config ~num_nodes:256 ~block_bytes:32 ~step_jobs ())
-                   ~sanitize:false ~protocol:Runtime.Predictive ()
-               in
-               let env = Ccdsm_cstar.Interp.load rt compiled in
-               Ccdsm_cstar.Interp.run env;
-               let m = Runtime.machine rt in
-               let digest = Proto_diff.digest_of_machine m in
-               let ctrs = List.init 256 (fun node -> Machine.counters m ~node) in
-               (digest, ctrs)
-             in
-             run 1 = run 4))
-
 let suite =
   [
     ( "proto_diff",
@@ -253,6 +221,5 @@ let suite =
         Alcotest.test_case "faulted runs leave the same heap" `Quick test_faulted_runs_agree;
         Alcotest.test_case "report renders" `Quick test_render;
         prop_fuzz_differential;
-        prop_step_jobs_equivalence;
       ] );
   ]

@@ -107,7 +107,6 @@ let test_job_parse_defaults () =
       check Alcotest.string "app" "water" spec.Job.app;
       check Alcotest.int "nodes default" 8 spec.Job.nodes;
       check Alcotest.int "block default" 32 spec.Job.block_bytes;
-      check Alcotest.int "step_jobs default" 1 spec.Job.step_jobs;
       check Alcotest.bool "no faults" true (spec.Job.faults = None);
       check Alcotest.bool "scaled" true (spec.Job.scale = `Scaled));
   (* A \u escape in the id parses, and the echoed id is a JSON literal that
@@ -151,7 +150,8 @@ let test_job_parse_rejects () =
   reject "nodes range" {|{"app":"w","protocol":"s","nodes":4096}|} "nodes";
   reject "bad faults" {|{"app":"w","protocol":"s","faults":"drop=oops"}|} "faults";
   reject "bad scale" {|{"app":"w","protocol":"s","scale":"huge"}|} "scale";
-  reject "step_jobs cap" {|{"app":"w","protocol":"s","step_jobs":1000000}|} "step_jobs";
+  (* A retired key is rejected like any other unknown one. *)
+  reject "step_jobs" {|{"app":"w","protocol":"s","step_jobs":1}|} {|unknown key "step_jobs"|};
   reject "garbage" {|{"app":"w","protocol":"s"} trailing|} "trailing";
   reject "not json" {|water stache|} "expected"
 
@@ -621,6 +621,33 @@ let test_serve_slow_capture_failure () =
                  && contains l "capture boom")
                recs)))
 
+(* A client that shuts down its receive side and then sends two malformed
+   specs: the first error reply fails with EPIPE and is counted at the reply
+   site; the connection is then dead, so the second reply is dropped
+   without another count. *)
+let test_serve_counts_reply_failures () =
+  with_server (fun srv path ->
+      let fd = connect path in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+          let s = "not json\nstill not json\n" in
+          ignore (Unix.write_substring fd s 0 (String.length s));
+          let handled = "ccdsm_serve_requests_total{status=\"error\"} 2" in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            (not (contains (Server.metrics_text srv) handled)) && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.02
+          done;
+          let m = Server.metrics_text srv in
+          check Alcotest.bool "both specs handled" true (contains m handled);
+          check Alcotest.bool "one failed reply counted" true
+            (contains m "ccdsm_serve_io_errors_total{site=\"reply\"} 1");
+          check Alcotest.bool "reader not failed" true
+            (contains m "ccdsm_serve_io_errors_total{site=\"reader\"} 0")))
+
 let suite =
   [
     ( "serve",
@@ -651,5 +678,6 @@ let suite =
         Alcotest.test_case "serve slow-log round-trip" `Quick test_serve_slow_log_roundtrip;
         Alcotest.test_case "serve counts failed slow captures" `Quick
           test_serve_slow_capture_failure;
+        Alcotest.test_case "serve counts failed replies" `Quick test_serve_counts_reply_failures;
       ] );
   ]

@@ -186,9 +186,9 @@ let test_load_errors () =
 
 (* -- collector on real runs ------------------------------------------------ *)
 
-let run_app ?(step_jobs = 1) ~app ~protocol ~block_bytes () =
+let run_app ~app ~protocol ~block_bytes () =
   let a = List.find (fun a -> a.PC.app_name = app) (PC.apps ()) in
-  let cfg = Machine.default_config ~num_nodes:a.PC.app_nodes ~block_bytes ~step_jobs () in
+  let cfg = Machine.default_config ~num_nodes:a.PC.app_nodes ~block_bytes () in
   let rt = Runtime.create ~cfg ~protocol () in
   let cap = Timecap.attach (Runtime.machine rt) in
   a.PC.app_run rt;
@@ -262,21 +262,11 @@ let test_qcheck_contracts =
                QCheck2.Test.fail_report "round-trip not byte-identical");
          true))
 
-(* The Chrome export of a jacobi/stache run is a pinned byte format, and the
-   event-sharded step loop must not perturb it: step_jobs is pure layout. *)
-let test_chrome_golden_and_jobs () =
-  let chrome step_jobs =
-    let tl, res = run_app ~step_jobs ~app:"jacobi" ~protocol:Runtime.Stache ~block_bytes:32 () in
-    Alcotest.(check bool) "exact" true (res = []);
-    Timeline.to_chrome tl
-  in
-  let c1 = chrome 1 in
-  check
-    Alcotest.(list string)
-    "chrome byte-stable at step_jobs 1 vs 4"
-    (String.split_on_char '\n' c1)
-    (String.split_on_char '\n' (chrome 4));
-  check_golden "jacobi_stache.chrome.json" c1
+(* The Chrome export of a jacobi/stache run is a pinned byte format. *)
+let test_chrome_golden () =
+  let tl, res = run_app ~app:"jacobi" ~protocol:Runtime.Stache ~block_bytes:32 () in
+  Alcotest.(check bool) "exact" true (res = []);
+  check_golden "jacobi_stache.chrome.json" (Timeline.to_chrome tl)
 
 (* -- the fig. 8 grid driver ------------------------------------------------ *)
 
@@ -322,8 +312,7 @@ let suite =
         Alcotest.test_case "collector causality + round-trip (jacobi)" `Quick
           test_collector_causal;
         test_qcheck_contracts;
-        Alcotest.test_case "chrome golden, byte-stable across step jobs" `Quick
-          test_chrome_golden_and_jobs;
+        Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
         Alcotest.test_case "grid rejects unknown names" `Quick test_grid_unknown_names;
         Alcotest.test_case "fig. 8 shape on jacobi" `Slow test_fig8_shape;
         Alcotest.test_case "timeline_run report" `Quick test_timeline_run_report;
