@@ -1,14 +1,13 @@
-(* Benchmark harness.
+(* Bechamel micro-benchmarks: host time per regeneration of each table and
+   figure at tiny sizes, and per operation on the protocol, compiler and
+   observer hot paths.  End-to-end wall time (the figure drivers, the serve
+   daemon) is perfbench's job (perfbench/run.sh); `repro all` prints the
+   tables and figures themselves.
 
-   Running this executable regenerates every table and figure of the paper
-   (printed below, at the data-set scale selected by CCDSM_FULL), then times
-   the regeneration machinery and the protocol hot paths with Bechamel —
-   one Test.make per table/figure plus micro-benchmarks.
-
-   dune exec bench/main.exe           # print figures + Bechamel table
+   dune exec bench/main.exe           # print the Bechamel table
    dune exec bench/main.exe -- --json [FILE]
-                                      # also write the machine-readable
-                                      # baseline (default FILE: BENCH.json) *)
+                                      # also write the ns/op per row as JSON
+                                      # (default FILE: BENCH.json) *)
 
 open Bechamel
 open Toolkit
@@ -20,49 +19,10 @@ module Aggregate = Ccdsm_runtime.Aggregate
 module Distribution = Ccdsm_runtime.Distribution
 module Schedule = Ccdsm_core.Schedule
 module Predictive = Ccdsm_core.Predictive
-module Parjobs = Ccdsm_harness.Parjobs
 module Adaptive = Ccdsm_apps.Adaptive
 module Barnes = Ccdsm_apps.Barnes
 module Water = Ccdsm_apps.Water
 module Cstar = Ccdsm_cstar
-
-(* -- regenerate the paper's tables and figures ------------------------------- *)
-
-let print_figures () =
-  let scale = E.scale_of_env () in
-  print_endline "==================================================================";
-  print_endline "Reproduction of every table and figure (see EXPERIMENTS.md)";
-  (match scale with
-  | E.Paper -> print_endline "scale: paper data sets (CCDSM_FULL set)"
-  | E.Scaled -> print_endline "scale: reduced data sets (set CCDSM_FULL=1 for paper scale)");
-  print_endline "==================================================================";
-  print_endline "\n== Table 1 ==";
-  print_string (E.table1 scale);
-  print_endline "\n== Figure 4 ==";
-  print_string (E.fig4 ());
-  let fig5 = E.fig5 scale in
-  print_newline ();
-  print_string (E.render fig5);
-  let fig6 = E.fig6 scale in
-  print_newline ();
-  print_string (E.render fig6);
-  let fig7 = E.fig7 scale in
-  print_newline ();
-  print_string (E.render fig7);
-  print_newline ();
-  print_string (E.block_sweep scale);
-  print_newline ();
-  print_string (E.ablations scale);
-  print_newline ();
-  print_string (E.inspector scale);
-  print_newline ();
-  print_string (E.scaling scale);
-  print_endline "\n== shape checks (paper claims) ==";
-  let checks = E.check_shapes ~fig5 ~fig6 ~fig7 in
-  List.iter
-    (fun (claim, ok) -> Printf.printf "  [%s] %s\n" (if ok then "ok" else "MISS") claim)
-    checks;
-  print_newline ()
 
 (* -- Bechamel tests ------------------------------------------------------------ *)
 
@@ -415,35 +375,19 @@ let print_benchmarks rows =
       | None -> Printf.printf "  %-36s (no estimate)\n" name)
     rows
 
-(* -- machine-readable baseline (--json) -------------------------------------- *)
+(* -- machine-readable output (--json) ----------------------------------------- *)
 
-(* Wall-clock per experiment driver, run through the multicore fan-out at the
-   default job count (CCDSM_JOBS or the available cores).  Shared with
-   [repro bench --compare], which checks a run against the baseline this
-   writes; the Bechamel rows above are per-operation micro costs. *)
-let wall_measurements = Ccdsm_harness.Bench_compare.wall_measurements
-
-let write_json path ~scale ~jobs ~wall ~micro =
+let write_json path rows =
+  let entries = List.filter_map (fun (n, e) -> Option.map (fun v -> (n, v)) e) rows in
+  let last = List.length entries - 1 in
   let oc = open_out path in
-  let field last (name, v) =
-    Printf.fprintf oc "    %s: %.3f%s\n" (Ccdsm_util.Json.quote name) v (if last then "" else ",")
-  in
-  let obj entries =
-    let n = List.length entries in
-    List.iteri (fun i e -> field (i = n - 1) e) entries
-  in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"ccdsm-bench-1\",\n";
-  Printf.fprintf oc "  \"scale\": \"%s\",\n"
-    (match scale with E.Paper -> "paper" | E.Scaled -> "scaled");
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"wall_ms\": {\n";
-  obj wall;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"micro_ns_per_op\": {\n";
-  obj (List.filter_map (fun (n, e) -> Option.map (fun v -> (n, v)) e) micro);
-  Printf.fprintf oc "  }\n";
-  Printf.fprintf oc "}\n";
+  Printf.fprintf oc "{\n  \"schema\": \"ccdsm-bench-2\",\n  \"micro_ns_per_op\": {\n";
+  List.iteri
+    (fun i (name, v) ->
+      Printf.fprintf oc "    %s: %.3f%s\n" (Ccdsm_util.Json.quote name) v
+        (if i = last then "" else ","))
+    entries;
+  Printf.fprintf oc "  }\n}\n";
   close_out oc
 
 let json_mode () =
@@ -458,24 +402,10 @@ let json_mode () =
   scan argv
 
 let () =
-  (try ignore (Parjobs.env_jobs ())
-   with Invalid_argument msg ->
-     Printf.eprintf "bench: %s\n" msg;
-     exit 2);
-  match json_mode () with
-  | None ->
-      print_figures ();
-      print_benchmarks (run_benchmarks ())
-  | Some path ->
-      let scale = E.scale_of_env () in
-      let jobs = Parjobs.default_jobs () in
-      Printf.printf "bench: measuring wall time per figure (scale=%s, jobs=%d)...\n%!"
-        (match scale with E.Paper -> "paper" | E.Scaled -> "scaled")
-        jobs;
-      let wall = wall_measurements scale jobs in
-      Printf.printf "bench: running Bechamel micro-benchmarks...\n%!";
-      let micro = run_benchmarks () in
-      write_json path ~scale ~jobs ~wall ~micro;
-      List.iter (fun (name, ms) -> Printf.printf "  wall %-14s %8.1f ms\n" name ms) wall;
-      print_benchmarks micro;
-      Printf.printf "bench: wrote %s\n" path
+  let rows = run_benchmarks () in
+  print_benchmarks rows;
+  Option.iter
+    (fun path ->
+      write_json path rows;
+      Printf.printf "bench: wrote %s\n" path)
+    (json_mode ())

@@ -8,7 +8,6 @@
      repro trace out.jsonl          # summarize a captured trace
      repro fig5 --metrics out.json  # capture the metrics registry snapshot
      repro metrics out.jsonl        # derive metrics from a captured trace
-     repro bench --compare BENCH.json   # perf gate against a baseline
      repro all                  # everything, plus the shape checklist *)
 
 open Cmdliner
@@ -74,10 +73,9 @@ let quick_arg =
     & flag
     & info [ "quick" ]
         ~doc:
-          "Shrink the grid to the CI smoke configuration: two block sizes, \
-           the two cheapest apps ($(b,sweep)), or the figure drivers plus the \
-           quick sweeps ($(b,bench)).  Quick numbers are only comparable to \
-           another quick run.")
+          "Shrink the grid to the CI smoke configuration: two block sizes and \
+           the two cheapest apps ($(b,sweep)).  Quick numbers are only \
+           comparable to another quick run.")
 
 let migratory_threshold_arg =
   Arg.(
@@ -564,33 +562,6 @@ let run_metrics file format =
   | Ok reg ->
       print_string (match format with "prom" -> Export.prometheus reg | _ -> Export.json reg)
 
-let run_bench full jobs compare threshold strict quick =
-  let s = scale full in
-  let jobs = match jobs with Some j -> j | None -> Ccdsm_harness.Parjobs.default_jobs () in
-  (* The baseline is read before the timing pass, so a bad path fails fast. *)
-  let baseline =
-    Option.map
-      (fun path ->
-        match Ccdsm_harness.Bench_compare.load_baseline path with
-        | Ok baseline -> baseline
-        | Error msg ->
-            Printf.eprintf "repro bench: %s\n" msg;
-            exit 1)
-      compare
-  in
-  let wall = Ccdsm_harness.Bench_compare.wall_measurements ~quick s jobs in
-  match baseline with
-  | None ->
-      List.iter (fun (name, ms) -> Printf.printf "  wall %-14s %8.1f ms\n" name ms) wall
-  | Some baseline ->
-      let comparison =
-        Ccdsm_harness.Bench_compare.compare_runs ~threshold_pct:threshold ~baseline wall
-      in
-      print_string (Ccdsm_harness.Bench_compare.render ~threshold_pct:threshold comparison);
-      if Ccdsm_harness.Bench_compare.any_regression comparison then
-        if strict then exit 1
-        else print_endline "advisory: regressions found (not failing without --strict)"
-
 let run_check depth seed faults nodes blocks jobs replay mode protocols =
   match replay with
   | Some path -> (
@@ -850,30 +821,6 @@ let metrics_format_arg =
     & opt (enum [ ("json", "json"); ("prom", "prom") ]) "json"
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Output format: $(b,json) (default) or $(b,prom) (Prometheus text).")
-
-let compare_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "compare" ] ~docv:"FILE"
-        ~doc:"Compare against the baseline written by $(b,bench/main.exe --json) $(docv).")
-
-let threshold_arg =
-  Arg.(
-    value
-    & opt float 25.0
-    & info [ "threshold" ] ~docv:"PCT"
-        ~doc:"Flag a driver as regressed when it is more than $(docv)% slower than the baseline.")
-
-let strict_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "strict" ]
-        ~doc:
-          "Exit non-zero when any driver regressed.  Off by default: wall \
-           clock is host-dependent, so the gate is advisory unless the runner \
-           matches the baseline's.")
 
 let serve_socket_arg =
   Arg.(
@@ -1139,12 +1086,6 @@ let cmds =
        print it (shared counters agree with the run's own --metrics snapshot \
        to the exact integer)"
       Term.(const run_metrics $ trace_file_arg $ metrics_format_arg);
-    cmd "bench"
-      "Time every experiment driver; with --compare, check against a \
-       bench/main.exe --json baseline (perf-regression gate)"
-      Term.(
-        const run_bench $ full_arg $ jobs_term $ compare_arg $ threshold_arg $ strict_arg
-        $ quick_arg);
     cmd "check"
       "Verify the protocols: exhaustive bounded exploration (with fault branches) \
        and shrunk counterexamples, or replay a recorded trace through the \

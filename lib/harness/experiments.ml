@@ -301,8 +301,8 @@ let sweep_apps scale =
   ]
 
 (* The --quick grid: one representative small and large block size, and the
-   two cheapest apps.  Used by the CI smoke so an iteration costs seconds,
-   while BENCH.json regeneration keeps the full grid. *)
+   two cheapest apps, so the pinned `repro sweep --quick` goldens and the CI
+   smoke cost seconds. *)
 let quick_block_sizes = [ 32; 256 ]
 let quick_apps scale = List.filter (fun (n, _, _) -> n <> "Barnes") (sweep_apps scale)
 

@@ -4,7 +4,7 @@
 
 type scale =
   | Paper  (** the paper's data sets (Table 1): 128x128x100 / 16384x3 / 512x20 *)
-  | Scaled  (** reduced sizes for CI and the default bench run *)
+  | Scaled  (** reduced sizes: the default, and what CI and the goldens run *)
 
 val scale_of_env : unit -> scale
 (** [Paper] when CCDSM_FULL is set to a non-empty, non-"0" value. *)

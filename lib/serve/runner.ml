@@ -80,6 +80,39 @@ let prepare ?apps (spec : Job.spec) =
                 | Ok p_protocol ->
                     Ok (Predict { p_spec = spec; p_app_name = app_name; p_run_app = run_app; p_protocol }))))
 
+(* -- per-server state ------------------------------------------------------- *)
+
+type slow_entry = {
+  s_key : string;
+  s_canonical : string;  (** the job's canonical spec (a JSON object) *)
+  s_run_ms : float;  (** the original (not re-run) wall-clock cost *)
+  s_wall_us : float;  (** simulated wall clock of the captured run *)
+  s_spans : int;
+  s_exact : bool;  (** the collector's residual check came back empty *)
+  s_timeline : string;  (** [Timeline.to_jsonl] of the captured run *)
+}
+
+let slow_ring_max = 8
+
+(* One server's state: the profile and grid tables behind [profiles_mutex],
+   and the slow-job ring behind [slow_mutex]. *)
+type t = {
+  profiles_mutex : Mutex.t;
+  profiles : (string, Profile.t) Hashtbl.t;
+  grids : (string, (int, string) Hashtbl.t) Hashtbl.t;
+  slow_mutex : Mutex.t;
+  mutable slow_ring : slow_entry list;
+}
+
+let create () =
+  {
+    profiles_mutex = Mutex.create ();
+    profiles = Hashtbl.create 8;
+    grids = Hashtbl.create 8;
+    slow_mutex = Mutex.create ();
+    slow_ring = [];
+  }
+
 (* -- profile / prediction cache --------------------------------------------
    One first-touch profile per (app, nodes, scale), collected under the
    baseline protocol at the base block size by a single instrumented run.
@@ -95,15 +128,8 @@ let prepare ?apps (spec : Job.spec) =
 
 let profile_block_bytes = 32
 let valid_blocks = List.init 14 (fun i -> 8 lsl i)
-let profiles_mutex = Mutex.create ()
-let profiles : (string, Profile.t) Hashtbl.t = Hashtbl.create 8
-let grids : (string, (int, string) Hashtbl.t) Hashtbl.t = Hashtbl.create 8
 
-let profile_count () =
-  Mutex.lock profiles_mutex;
-  let n = Hashtbl.length profiles in
-  Mutex.unlock profiles_mutex;
-  n
+let profile_count t = Mutex.protect t.profiles_mutex (fun () -> Hashtbl.length t.profiles)
 
 let predict_json ~app_name ~nodes ~block_bytes (pred : Model.prediction) =
   Printf.sprintf
@@ -112,7 +138,7 @@ let predict_json ~app_name ~nodes ~block_bytes (pred : Model.prediction) =
     block_bytes pred.Model.bytes pred.Model.faults pred.Model.msgs nodes pred.Model.presends
     (Json.quote pred.Model.p_protocol)
 
-let grid_for (p : pred) =
+let grid_for t (p : pred) =
   let spec = p.p_spec in
   let base_key =
     Printf.sprintf "%s|%d|%s"
@@ -121,15 +147,12 @@ let grid_for (p : pred) =
       (match spec.scale with `Scaled -> "scaled" | `Paper -> "paper")
   in
   let grid_key = base_key ^ "|" ^ Model.protocol_label p.p_protocol in
-  Mutex.lock profiles_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock profiles_mutex)
-    (fun () ->
-      match Hashtbl.find_opt grids grid_key with
+  Mutex.protect t.profiles_mutex (fun () ->
+      match Hashtbl.find_opt t.grids grid_key with
       | Some grid -> Ok grid
       | None -> (
           let profile =
-            match Hashtbl.find_opt profiles base_key with
+            match Hashtbl.find_opt t.profiles base_key with
             | Some profile -> profile
             | None ->
                 let cfg =
@@ -142,7 +165,7 @@ let grid_for (p : pred) =
                     (Runtime.machine rt)
                     (fun () -> ignore (p.p_run_app rt))
                 in
-                Hashtbl.replace profiles base_key profile;
+                Hashtbl.replace t.profiles base_key profile;
                 profile
           in
           match Model.prepare profile ~net:Network.default ~protocol:p.p_protocol with
@@ -162,7 +185,7 @@ let grid_for (p : pred) =
               with
               | exception Failure msg -> Error msg
               | () ->
-                  Hashtbl.replace grids grid_key grid;
+                  Hashtbl.replace t.grids grid_key grid;
                   Ok grid)))
 
 (* -- result rendering ------------------------------------------------------ *)
@@ -193,7 +216,7 @@ let result_json (report : Proto_diff.report) =
   | rows ->
       invalid_arg (Printf.sprintf "Runner.result_json: expected 1 row, got %d" (List.length rows))
 
-let execute = function
+let execute t = function
   | Sim p ->
       let spec = p.spec in
       let report =
@@ -203,7 +226,7 @@ let execute = function
       in
       result_json report
   | Predict p -> (
-      match grid_for p with
+      match grid_for t p with
       | Error msg -> failwith ("predict: " ^ msg)
       | Ok grid -> (
           match Hashtbl.find_opt grid p.p_spec.block_bytes with
@@ -226,27 +249,9 @@ let execute = function
    answer from a table — re-timing them would time the cache, so only sim
    jobs are recorded. *)
 
-type slow_entry = {
-  s_key : string;
-  s_canonical : string;  (** the job's canonical spec (a JSON object) *)
-  s_run_ms : float;  (** the original (not re-run) wall-clock cost *)
-  s_wall_us : float;  (** simulated wall clock of the captured run *)
-  s_spans : int;
-  s_exact : bool;  (** the collector's residual check came back empty *)
-  s_timeline : string;  (** [Timeline.to_jsonl] of the captured run *)
-}
+let slow_jobs t = Mutex.protect t.slow_mutex (fun () -> t.slow_ring)
 
-let slow_ring_max = 8
-let slow_mutex = Mutex.create ()
-let slow_ring : slow_entry list ref = ref []
-
-let slow_jobs () =
-  Mutex.lock slow_mutex;
-  let entries = !slow_ring in
-  Mutex.unlock slow_mutex;
-  entries
-
-let record_slow ~key ~run_ms = function
+let record_slow t ~key ~run_ms = function
   | Predict _ -> ()
   | Sim p ->
       let spec = p.spec in
@@ -273,13 +278,12 @@ let record_slow ~key ~run_ms = function
           s_timeline = Timeline.to_jsonl tl;
         }
       in
-      Mutex.lock slow_mutex;
-      let keep = List.filter (fun e -> e.s_key <> key) !slow_ring in
-      slow_ring :=
-        entry :: (if List.length keep >= slow_ring_max then List.filteri (fun i _ -> i < slow_ring_max - 1) keep else keep);
-      Mutex.unlock slow_mutex
+      Mutex.protect t.slow_mutex (fun () ->
+          let keep = List.filter (fun e -> e.s_key <> key) t.slow_ring in
+          t.slow_ring <-
+            entry :: (if List.length keep >= slow_ring_max then List.filteri (fun i _ -> i < slow_ring_max - 1) keep else keep))
 
-let slow_jobs_json () =
+let slow_jobs_json t =
   let entry_json e =
     Printf.sprintf
       "{\"exact\":%b,\"key\":\"%s\",\"run_ms\":%s,\"spans\":%d,\"spec\":%s,\"timeline\":%s,\"wall_us\":%s}"
@@ -289,4 +293,4 @@ let slow_jobs_json () =
       (Json.quote e.s_timeline)
       (Obs.float_to_string e.s_wall_us)
   in
-  Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," (List.map entry_json (slow_jobs ())))
+  Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," (List.map entry_json (slow_jobs t)))

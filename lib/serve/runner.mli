@@ -20,6 +20,12 @@ type app = string * bool * (Ccdsm_runtime.Runtime.t -> float)
 
 type prepared
 
+type t
+(** One server's runner state: the predict profile and grid tables and the
+    slow-job ring.  Each {!Server.start} makes its own. *)
+
+val create : unit -> t
+
 val prepare : ?apps:app list -> Job.spec -> (prepared, string) result
 (** Resolve the app (case-insensitive, against [apps] or the built-in
     {!Ccdsm_harness.Experiments.sweep_apps} table at the spec's scale) and
@@ -29,7 +35,7 @@ val prepare : ?apps:app list -> Job.spec -> (prepared, string) result
     jobs additionally require the protocol to be covered by
     {!Ccdsm_rdist.Model.protocol_of_name} and reject fault plans. *)
 
-val execute : prepared -> string
+val execute : t -> prepared -> string
 (** Run the job and render the result record, a one-line JSON object with
     sorted keys.  Simulations: app, block_bytes, bytes, checksum, digest,
     latency (the paper-bucket wall-clock decomposition, mean over nodes),
@@ -45,9 +51,9 @@ val result_json : Ccdsm_harness.Proto_diff.report -> string
 (** The simulation rendering on its own (the report must have exactly one
     row). *)
 
-val profile_count : unit -> int
-(** Number of first-touch profiles currently cached for predict jobs
-    (exported as a gauge on the daemon's [/metrics]). *)
+val profile_count : t -> int
+(** Number of first-touch profiles [t] holds for predict jobs (exported as
+    a gauge on the daemon's [/metrics]). *)
 
 (** {2 Slow-job timeline ring}
 
@@ -71,15 +77,15 @@ val slow_ring_max : int
 (** Ring capacity (8): enough to hold the current outliers, bounded so a
     pathological workload cannot grow daemon memory without limit. *)
 
-val record_slow : key:string -> run_ms:float -> prepared -> unit
+val record_slow : t -> key:string -> run_ms:float -> prepared -> unit
 (** Capture a timeline for a slow sim job (predict jobs are table lookups
     and are ignored).  An entry with the same key is replaced; otherwise the
     oldest entry is evicted at capacity. *)
 
-val slow_jobs : unit -> slow_entry list
+val slow_jobs : t -> slow_entry list
 (** Ring contents, newest first. *)
 
-val slow_jobs_json : unit -> string
+val slow_jobs_json : t -> string
 (** The [{"kind":"timeline"}] response payload:
     [{"slow_jobs":[...]}] with per-entry sorted keys (exact, key, run_ms,
     spans, spec, timeline, wall_us); the timeline is the JSONL text as one

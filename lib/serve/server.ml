@@ -59,6 +59,7 @@ type conn = {
 
 type t = {
   cfg : config;
+  runner : Runner.t;
   pool : Pool.t;
   cache : outcome Cache.t;
   admitted : int Atomic.t;  (* jobs admitted and not yet finished/abandoned *)
@@ -98,6 +99,7 @@ type t = {
   io_reply : Obs.Counter.t;
   io_reader : Obs.Counter.t;
   io_http : Obs.Counter.t;
+  io_log : Obs.Counter.t;
   queue_depth : Obs.Gauge.t;
   job_ms : Obs.Histogram.t;
 }
@@ -119,15 +121,16 @@ let write_all fd s =
     off := !off + w
   done
 
-(* A failed socket read or write: the connection (or HTTP request) is given
-   up, the failure counted on [ccdsm_serve_io_errors_total] by [site] and
-   logged as one stderr line. *)
+(* A failed socket read or write, or request-log write: the connection (or
+   HTTP request, or log record) is given up, the failure counted on
+   [ccdsm_serve_io_errors_total] by [site] and logged as one stderr line. *)
 let io_error t site e =
   let ctr, name =
     match site with
     | `Reply -> (t.io_reply, "reply")
     | `Reader -> (t.io_reader, "reader")
     | `Http -> (t.io_http, "http")
+    | `Log -> (t.io_log, "log")
   in
   tick t (fun () -> Obs.Counter.inc ctr);
   prerr_endline
@@ -155,12 +158,15 @@ let id_lit = function Some s -> s | None -> "null"
 
 let status_of = function Result _ -> "ok" | Job_error _ -> "error" | Timeout -> "timeout"
 
+(* A failed write is counted, not raised: the mutex is released on every
+   path, so the reader or pool thread that logged carries on. *)
 let log_line t oc line =
-  Mutex.lock t.log_mutex;
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  Mutex.unlock t.log_mutex
+  try
+    Mutex.protect t.log_mutex (fun () ->
+        output_string oc line;
+        output_char oc '\n';
+        flush oc)
+  with e -> io_error t `Log e
 
 let log_job t ~id ~key ~cache ~queue_wait_us ~run_us ~slow status =
   match t.log_oc with
@@ -278,7 +284,7 @@ let handle_line t conn line =
         tick t (fun () -> Obs.Counter.inc t.req_ok);
         write_line t conn
           (Printf.sprintf "{\"id\":%s,\"status\":\"ok\",\"result\":%s}" (id_lit id)
-             (Runner.slow_jobs_json ()));
+             (Runner.slow_jobs_json t.runner));
         log_job t ~id ~key:None ~cache:"timeline" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false
           "ok"
     | Ok { id; spec } -> (
@@ -336,7 +342,7 @@ let handle_line t conn line =
                     let t0 = Unix.gettimeofday () in
                     queue_us := (t0 -. t_submit) *. 1e6;
                     let outcome =
-                      try Result (Runner.execute prepared)
+                      try Result (Runner.execute t.runner prepared)
                       with e -> Job_error (Printexc.to_string e)
                     in
                     let dt_ms = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -356,7 +362,7 @@ let handle_line t conn line =
                     else if is_slow then
                       (* After [finish] so waiters are not held behind the
                          capture re-run. *)
-                      try Runner.record_slow ~key ~run_ms:dt_ms prepared
+                      try Runner.record_slow t.runner ~key ~run_ms:dt_ms prepared
                       with e -> capture_failed t ~key e
                   end;
                   Atomic.decr t.admitted
@@ -450,7 +456,7 @@ let handle_job_conn t cfd =
 let metrics_text t =
   Mutex.lock t.mm;
   Obs.Gauge.set t.queue_depth (float_of_int (Atomic.get t.admitted));
-  Obs.Gauge.set t.predict_profiles (float_of_int (Runner.profile_count ()));
+  Obs.Gauge.set t.predict_profiles (float_of_int (Runner.profile_count t.runner));
   let text = Export.prometheus t.registry in
   Mutex.unlock t.mm;
   text
@@ -509,6 +515,7 @@ let start cfg =
   let t =
     {
       cfg;
+      runner = Runner.create ();
       pool = Pool.create ~domains:cfg.domains ();
       cache = Cache.create ();
       admitted = Atomic.make 0;
@@ -547,6 +554,7 @@ let start cfg =
       io_reply = counter ~labels:[ ("site", "reply") ] "ccdsm_serve_io_errors_total";
       io_reader = counter ~labels:[ ("site", "reader") ] "ccdsm_serve_io_errors_total";
       io_http = counter ~labels:[ ("site", "http") ] "ccdsm_serve_io_errors_total";
+      io_log = counter ~labels:[ ("site", "log") ] "ccdsm_serve_io_errors_total";
       queue_depth = Obs.Registry.gauge registry "ccdsm_serve_queue_depth";
       job_ms =
         Obs.Registry.histogram registry
@@ -594,7 +602,7 @@ let stop t =
       conns;
     (try Unix.close t.listen_fd with _ -> ());
     Option.iter (fun fd -> try Unix.close fd with _ -> ()) t.http_fd;
-    Option.iter (fun oc -> try close_out oc with _ -> ()) t.log_oc;
+    Option.iter close_out_noerr t.log_oc;
     match t.cfg.socket with `Unix path -> (try Unix.unlink path with _ -> ()) | `Tcp _ -> ()
   end
 

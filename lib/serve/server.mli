@@ -37,11 +37,13 @@ type config = {
   log : string option;
       (** structured request log: one JSONL record per answered request
           (sorted keys: cache, id, key, queue_wait_us, run_us, slow,
-          status), appended and flushed per record so a tail is live *)
+          status), appended and flushed per record so a tail is live; a
+          record that cannot be written is dropped and counted at the
+          ["log"] site of [ccdsm_serve_io_errors_total] *)
   slow_ms : float;
       (** jobs whose run time reaches this are flagged [slow:true] in the
           log, counted on [ccdsm_serve_slow_jobs_total], and captured into
-          the {!Runner} slow-job timeline ring (retrievable with a
+          the server's {!Runner.t} slow-job timeline ring (retrievable with a
           [{"kind":"timeline"}] job); [0] (the default) disables.  A
           capture re-run that raises is counted on
           [ccdsm_serve_slow_capture_failures_total] and logged as
@@ -57,8 +59,10 @@ val default_config : socket:[ `Unix of string | `Tcp of string * int ] -> unit -
 type t
 
 val start : config -> t
-(** Bind, spawn the accept/monitor threads and the pool, return immediately
-    (the in-process form the tests drive).
+(** Bind, spawn the accept/monitor threads and the pool, make the server's
+    own {!Runner.t} (predict profiles and slow-job ring are never shared
+    between servers), return immediately (the in-process form the tests
+    drive).
     @raise Invalid_argument on a nonsensical config;
     @raise Unix.Unix_error if a listener cannot bind. *)
 
@@ -72,10 +76,11 @@ val http_port : t -> int option
 
 val metrics_text : t -> string
 (** The Prometheus exposition served on [/metrics].  A failed socket read
-    or write gives up its connection (or HTTP request), counts one
-    [ccdsm_serve_io_errors_total] at its site (["reply"], ["reader"] or
-    ["http"]) and logs one [{"error":...,"event":"io_error","site":...}]
-    line to stderr. *)
+    or write gives up its connection (or HTTP request), and a failed
+    request-log write its record; each counts one
+    [ccdsm_serve_io_errors_total] at its site (["reply"], ["reader"],
+    ["http"] or ["log"]) and logs one
+    [{"error":...,"event":"io_error","site":...}] line to stderr. *)
 
 val run : config -> unit
 (** [start], install SIGTERM/SIGINT handlers, block until signalled, then

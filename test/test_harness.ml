@@ -1,5 +1,5 @@
 (* Tests for the measurement harness and experiment drivers (at tiny sizes:
-   the full figures run in bench/ and bin/repro). *)
+   the full figures run in bin/repro). *)
 
 module Machine = Ccdsm_tempest.Machine
 module Network = Ccdsm_tempest.Network
@@ -164,26 +164,6 @@ let test_trace_summary_histograms () =
           Alcotest.(check bool) "priced total" true
             (contains s (Printf.sprintf "%.0f" (2.0 *. cost))))
 
-let test_load_baseline () =
-  let module B = Ccdsm_harness.Bench_compare in
-  (match B.load_baseline "../BENCH.json" with
-  | Ok entries ->
-      check Alcotest.int "committed baseline: 14 wall_ms entries" 14 (List.length entries);
-      check Alcotest.bool "fig5 entry" true (List.mem_assoc "fig5" entries)
-  | Error msg -> Alcotest.fail msg);
-  let rejects what content =
-    let path = Filename.temp_file "ccdsm-bench" ".json" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc -> output_string oc content);
-        match B.load_baseline path with
-        | Ok _ -> Alcotest.failf "%s: loaded" what
-        | Error _ -> ())
-  in
-  rejects "no wall_ms object" {|{"schema":"ccdsm-bench-1","micro_ns_per_op":{"a":1.5}}|};
-  rejects "not JSON" "wall_ms: fig5 404.8\n"
-
 let suite =
   [
     ( "harness.measure",
@@ -208,6 +188,5 @@ let suite =
         Alcotest.test_case "scale from env" `Quick test_scale_of_env;
         Alcotest.test_case "figure rendering" `Quick test_render_figure;
         Alcotest.test_case "trace summary histograms" `Quick test_trace_summary_histograms;
-        Alcotest.test_case "bench baseline loading" `Quick test_load_baseline;
       ] );
   ]

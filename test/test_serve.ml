@@ -267,7 +267,7 @@ let test_runner_matches_direct_run () =
   in
   let served =
     match Runner.prepare ~apps:tiny_apps spec with
-    | Ok p -> Runner.execute p
+    | Ok p -> Runner.execute (Runner.create ()) p
     | Error msg -> Alcotest.fail msg
   in
   let direct =
@@ -301,7 +301,7 @@ let test_runner_predict_matches_model () =
   List.iter
     (fun b -> check Alcotest.bool (Printf.sprintf "%d B rejected" b) true (Result.is_error (job b)))
     [ 4; 131072 ];
-  let before = Runner.profile_count () in
+  let runner = Runner.create () in
   let cfg = Machine.default_config ~num_nodes:4 ~block_bytes:32 () in
   let rt = Runtime.create ~cfg ~protocol:Runtime.Stache () in
   let profile, _ =
@@ -323,7 +323,7 @@ let test_runner_predict_matches_model () =
           Result.bind (job block_bytes) (fun r ->
               Runner.prepare ~apps:[ ("jacobi", true, run) ] r.Job.spec)
         with
-        | Ok p -> Runner.execute p
+        | Ok p -> Runner.execute runner p
         | Error msg -> Alcotest.fail msg
       in
       let want =
@@ -340,7 +340,7 @@ let test_runner_predict_matches_model () =
       check Alcotest.int (label "bytes") want.Model.bytes (field "bytes");
       check Alcotest.int (label "presends") want.Model.presends (field "presends"))
     (List.init 14 (fun i -> 8 lsl i));
-  check Alcotest.int "one profile collected" (before + 1) (Runner.profile_count ())
+  check Alcotest.int "one profile collected" 1 (Runner.profile_count runner)
 
 (* -- Server end-to-end ----------------------------------------------------- *)
 
@@ -393,6 +393,34 @@ let result_part line =
   | None -> Alcotest.fail "not a response line"
 
 let spec_line = {|{"app":"tiny","protocol":"stache","nodes":4}|}
+
+(* Work after a reply (slow-job captures, log records, failed-write counts)
+   is asynchronous: poll for it, for at most 10 s. *)
+let poll_until ready fetch =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let v = fetch () in
+    if ready v || Unix.gettimeofday () >= deadline then v
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+(* The metrics exposition once it shows [needle] (or after 10 s). *)
+let await_metric srv needle =
+  poll_until (fun m -> contains m needle) (fun () -> Server.metrics_text srv)
+
+(* The timeline-ring answer once it holds a capture (or after 10 s). *)
+let await_ring path =
+  match
+    poll_until
+      (fun rs -> List.exists (fun r -> contains r "\"timeline\":") rs)
+      (fun () -> roundtrip path [ {|{"kind":"timeline","id":1}|} ])
+  with
+  | [ r ] when contains r "\"timeline\":" -> r
+  | rs -> Alcotest.fail ("slow job never reached the ring: " ^ String.concat "\n" rs)
 
 let test_serve_miss_then_hit () =
   with_server (fun srv path ->
@@ -506,19 +534,8 @@ let test_serve_slow_log_roundtrip () =
           (match roundtrip path [ spec_line ] with
           | [ r ] -> check Alcotest.bool "miss answered" true (contains r "\"status\":\"ok\"")
           | _ -> Alcotest.fail "one response expected");
-          (* The capture re-run happens after the response is delivered;
-             poll the ring until it lands. *)
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let rec poll () =
-            match roundtrip path [ {|{"kind":"timeline","id":1}|} ] with
-            | [ r ] when contains r "\"timeline\":" -> r
-            | [ _ ] when Unix.gettimeofday () < deadline ->
-                Thread.delay 0.05;
-                poll ()
-            | [ r ] -> Alcotest.fail ("slow job never reached the ring: " ^ r)
-            | _ -> Alcotest.fail "one response expected"
-          in
-          let ring = poll () in
+          (* The capture re-run happens after the response is delivered. *)
+          let ring = await_ring path in
           check Alcotest.bool "entry is exact" true (contains ring "\"exact\":true");
           check Alcotest.bool "carries the canonical spec" true
             (contains ring "\"spec\":{\"app\":\"tiny\"");
@@ -597,15 +614,9 @@ let test_serve_slow_capture_failure () =
                 String.sub r start (String.index_from r start '"' - start)
             | _ -> Alcotest.fail "one response expected"
           in
-          (* The capture runs after the answer is delivered; poll for it. *)
+          (* The capture runs after the answer is delivered. *)
           let counted = "ccdsm_serve_slow_capture_failures_total 1" in
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while
-            (not (contains (Server.metrics_text srv) counted)) && Unix.gettimeofday () < deadline
-          do
-            Thread.delay 0.02
-          done;
-          check Alcotest.bool "failure counted" true (contains (Server.metrics_text srv) counted);
+          check Alcotest.bool "failure counted" true (contains (await_metric srv counted) counted);
           Server.stop srv;
           let ic = open_in log in
           let rec lines acc =
@@ -635,18 +646,50 @@ let test_serve_counts_reply_failures () =
           let s = "not json\nstill not json\n" in
           ignore (Unix.write_substring fd s 0 (String.length s));
           let handled = "ccdsm_serve_requests_total{status=\"error\"} 2" in
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while
-            (not (contains (Server.metrics_text srv) handled)) && Unix.gettimeofday () < deadline
-          do
-            Thread.delay 0.02
-          done;
-          let m = Server.metrics_text srv in
+          let m = await_metric srv handled in
           check Alcotest.bool "both specs handled" true (contains m handled);
           check Alcotest.bool "one failed reply counted" true
             (contains m "ccdsm_serve_io_errors_total{site=\"reply\"} 1");
           check Alcotest.bool "reader not failed" true
             (contains m "ccdsm_serve_io_errors_total{site=\"reader\"} 0")))
+
+(* A request log that cannot be written (/dev/full): each lost record is
+   counted at the log site, and the reader keeps answering its connection. *)
+let test_serve_failed_log () =
+  with_server ~log:"/dev/full" (fun srv path ->
+      let fd = connect path in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let s = "not json\nstill not json\n" in
+          ignore (Unix.write_substring fd s 0 (String.length s));
+          let ic = Unix.in_channel_of_descr fd in
+          List.iter
+            (fun what ->
+              match input_line ic with
+              | l -> check Alcotest.bool what true (contains l "\"status\":\"error\"")
+              | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
+                  Alcotest.failf "%s: no answer" what)
+            [ "first spec answered"; "second spec answered" ];
+          (* Each record is logged after its reply is written. *)
+          let counted = "ccdsm_serve_io_errors_total{site=\"log\"} 2" in
+          let m = await_metric srv counted in
+          check Alcotest.bool "both lost records counted" true (contains m counted);
+          check Alcotest.bool "reader not failed" true
+            (contains m "ccdsm_serve_io_errors_total{site=\"reader\"} 0")))
+
+(* Two servers in one process keep their own runner state: a slow-job
+   capture on the first never shows in the second's timeline ring. *)
+let test_serve_runner_per_server () =
+  with_server ~slow_ms:0.000001 (fun _ first ->
+      with_server (fun _ second ->
+          ignore (roundtrip first [ spec_line ]);
+          ignore (await_ring first);
+          check
+            Alcotest.(list string)
+            "second server's ring" [ {|{"id":2,"status":"ok","result":{"slow_jobs":[]}}|} ]
+            (roundtrip second [ {|{"kind":"timeline","id":2}|} ])))
 
 let suite =
   [
@@ -679,5 +722,7 @@ let suite =
         Alcotest.test_case "serve counts failed slow captures" `Quick
           test_serve_slow_capture_failure;
         Alcotest.test_case "serve counts failed replies" `Quick test_serve_counts_reply_failures;
+        Alcotest.test_case "serve survives a failed request log" `Quick test_serve_failed_log;
+        Alcotest.test_case "serve runner state per server" `Quick test_serve_runner_per_server;
       ] );
   ]
