@@ -95,9 +95,10 @@ let phase_scheduled name = List.mem name (scheduled_phases ())
 
 (* -- shared numeric kernel ------------------------------------------------- *)
 
-(* The same arithmetic runs against the DSM and against flat arrays, through
-   this accessor record, so the reference and the simulated runs agree
-   bit-for-bit. *)
+(* The same arithmetic runs against the DSM ([Dsm]) and against flat arrays
+   ([View] of this record of closures), so the reference and the simulated
+   runs agree bit-for-bit.  The [Dsm] arm calls the machine directly, so its
+   accessors inline and a shared float reaches the arithmetic unboxed. *)
 type ops = {
   value : int -> int -> float;
   set_value : int -> int -> float -> unit;
@@ -107,14 +108,67 @@ type ops = {
   refine_cell : int -> int -> unit;
 }
 
+type store =
+  | Dsm of {
+      mesh : Aggregate.t;
+      machine : Machine.t;
+      heap : Shared_heap.t;
+      refined_count : int ref;
+    }
+  | View of ops
+
+let[@inline] value s ~node i j =
+  match s with Dsm d -> Aggregate.read2 d.mesh ~node i j ~field:f_value | View o -> o.value i j
+
+let[@inline] set_value s ~node i j v =
+  match s with
+  | Dsm d -> Aggregate.write2 d.mesh ~node i j ~field:f_value v
+  | View o -> o.set_value i j v
+
+let[@inline] refined s ~node i j =
+  match s with
+  | Dsm d -> Aggregate.read2 d.mesh ~node i j ~field:f_refined <> 0.0
+  | View o -> o.refined i j
+
+let[@inline] child s ~node i j k =
+  match s with
+  | Dsm d ->
+      let kid = int_of_float (Aggregate.read2 d.mesh ~node i j ~field:f_kid) in
+      Machine.read d.machine ~node (kid + k)
+  | View o -> o.child i j k
+
+let[@inline] set_child s ~node i j k v =
+  match s with
+  | Dsm d ->
+      let kid = int_of_float (Aggregate.read2 d.mesh ~node i j ~field:f_kid) in
+      Machine.write d.machine ~node (kid + k) v
+  | View o -> o.set_child i j k v
+
+let refine_cell s ~node i j =
+  match s with
+  | Dsm d ->
+      let kid = Shared_heap.alloc d.heap ~node ~words:4 in
+      let v = Aggregate.read2 d.mesh ~node i j ~field:f_value in
+      for k = 0 to 3 do
+        Machine.write d.machine ~node (kid + k) v
+      done;
+      Aggregate.write2 d.mesh ~node i j ~field:f_kid (float_of_int kid);
+      Aggregate.write2 d.mesh ~node i j ~field:f_refined 1.0;
+      incr d.refined_count
+  | View o -> o.refine_cell i j
+
 let interior n i j = i > 0 && i < n - 1 && j > 0 && j < n - 1
 
-let sweep_cell ops i j =
+let sweep_cell s ~node i j =
   let v =
-    0.25 *. (ops.value (i - 1) j +. ops.value (i + 1) j +. ops.value i (j - 1) +. ops.value i (j + 1))
+    0.25
+    *. (value s ~node (i - 1) j
+       +. value s ~node (i + 1) j
+       +. value s ~node i (j - 1)
+       +. value s ~node i (j + 1))
   in
-  ops.set_value i j v;
-  if ops.refined i j then
+  set_value s ~node i j v;
+  if refined s ~node i j then
     (* Children at finer resolution interpolate against the facing neighbour;
        when that neighbour is refined too, read its facing child — the
        accesses that appear as refinement spreads. *)
@@ -123,36 +177,38 @@ let sweep_cell ops i j =
         let k = (2 * di) + dj in
         let vi = i + (2 * di) - 1 and hj = j + (2 * dj) - 1 in
         let vn =
-          if ops.refined vi j then ops.child vi j ((2 * (1 - di)) + dj) else ops.value vi j
+          if refined s ~node vi j then child s ~node vi j ((2 * (1 - di)) + dj)
+          else value s ~node vi j
         in
         let hn =
-          if ops.refined i hj then ops.child i hj ((2 * di) + (1 - dj)) else ops.value i hj
+          if refined s ~node i hj then child s ~node i hj ((2 * di) + (1 - dj))
+          else value s ~node i hj
         in
-        ops.set_child i j k ((0.5 *. v) +. (0.25 *. vn) +. (0.25 *. hn))
+        set_child s ~node i j k ((0.5 *. v) +. (0.25 *. vn) +. (0.25 *. hn))
       done
     done
 
-let gradient ops i j =
-  let v = ops.value i j in
+let gradient s ~node i j =
+  let v = value s ~node i j in
   let d a = Float.abs (v -. a) in
   Float.max
-    (Float.max (d (ops.value (i - 1) j)) (d (ops.value (i + 1) j)))
-    (Float.max (d (ops.value i (j - 1))) (d (ops.value i (j + 1))))
+    (Float.max (d (value s ~node (i - 1) j)) (d (value s ~node (i + 1) j)))
+    (Float.max (d (value s ~node i (j - 1))) (d (value s ~node i (j + 1))))
 
-let refine_decision cfg ops ~budget_left i j =
-  budget_left && (not (ops.refined i j)) && gradient ops i j > cfg.refine_threshold
+let refine_decision cfg s ~node ~budget_left i j =
+  budget_left && (not (refined s ~node i j)) && gradient s ~node i j > cfg.refine_threshold
 
 (* Boundary condition: top row at potential 1, other borders at 0. *)
 let init_value n i j = if i = 0 then 1.0 else if i = n - 1 || j = 0 || j = n - 1 then 0.0 else 0.0
 
-let checksum_of ops n =
+let checksum_of ~value ~refined ~child n =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      acc := !acc +. ops.value i j;
-      if ops.refined i j then
+      acc := !acc +. value i j;
+      if refined i j then
         for k = 0 to 3 do
-          acc := !acc +. (0.25 *. ops.child i j k)
+          acc := !acc +. (0.25 *. child i j k)
         done
     done
   done;
@@ -173,7 +229,6 @@ let run ?(flush_each_iter = false) rt cfg =
     Aggregate.create_2d machine ~name:"mesh" ~elem_words:4 ~rows:n ~cols:n
       ~dist:Distribution.Row_block ()
   in
-  let heap = Runtime.heap rt in
   (* Initialization via pokes (uncharged): the paper's measurements target
      the iterative sweeps, not the setup. *)
   for i = 0 to n - 1 do
@@ -184,43 +239,17 @@ let run ?(flush_each_iter = false) rt cfg =
     done
   done;
   let refined_count = ref 0 in
-  let node = ref 0 in
-  let ops =
-    {
-      value = (fun i j -> Aggregate.read2 mesh ~node:!node i j ~field:f_value);
-      set_value = (fun i j v -> Aggregate.write2 mesh ~node:!node i j ~field:f_value v);
-      refined = (fun i j -> Aggregate.read2 mesh ~node:!node i j ~field:f_refined <> 0.0);
-      child =
-        (fun i j k ->
-          let kid = int_of_float (Aggregate.read2 mesh ~node:!node i j ~field:f_kid) in
-          Machine.read machine ~node:!node (kid + k));
-      set_child =
-        (fun i j k v ->
-          let kid = int_of_float (Aggregate.read2 mesh ~node:!node i j ~field:f_kid) in
-          Machine.write machine ~node:!node (kid + k) v);
-      refine_cell =
-        (fun i j ->
-          let kid = Shared_heap.alloc heap ~node:!node ~words:4 in
-          let v = Aggregate.read2 mesh ~node:!node i j ~field:f_value in
-          for k = 0 to 3 do
-            Machine.write machine ~node:!node (kid + k) v
-          done;
-          Aggregate.write2 mesh ~node:!node i j ~field:f_kid (float_of_int kid);
-          Aggregate.write2 mesh ~node:!node i j ~field:f_refined 1.0;
-          incr refined_count);
-    }
-  in
+  let s = Dsm { mesh; machine; heap = Runtime.heap rt; refined_count } in
   let red = Runtime.make_phase rt ~name:"sweep_red" ~scheduled:(phase_scheduled "sweep_red") in
   let black =
     Runtime.make_phase rt ~name:"sweep_black" ~scheduled:(phase_scheduled "sweep_black")
   in
   let refine = Runtime.make_phase rt ~name:"refine" ~scheduled:(phase_scheduled "refine") in
   let sweep parity phase =
-    Runtime.parallel_for_2d rt ~phase mesh (fun ~node:nd ~i ~j ->
+    Runtime.parallel_for_2d rt ~phase mesh (fun ~node ~i ~j ->
         if interior n i j && (i + j) land 1 = parity then begin
-          node := nd;
-          Runtime.charge_compute rt ~node:nd 100.0;
-          sweep_cell ops i j
+          Runtime.charge_compute rt ~node 100.0;
+          sweep_cell s ~node i j
         end)
   in
   for t = 0 to cfg.iterations - 1 do
@@ -230,28 +259,25 @@ let run ?(flush_each_iter = false) rt cfg =
       let budget_left =
         float_of_int !refined_count < cfg.max_refined_fraction *. float_of_int (n * n)
       in
-      Runtime.parallel_for_2d rt ~phase:refine mesh (fun ~node:nd ~i ~j ->
+      Runtime.parallel_for_2d rt ~phase:refine mesh (fun ~node ~i ~j ->
           if interior n i j then begin
-            node := nd;
-            Runtime.charge_compute rt ~node:nd 30.0;
-            if refine_decision cfg ops ~budget_left i j then ops.refine_cell i j
+            Runtime.charge_compute rt ~node 30.0;
+            if refine_decision cfg s ~node ~budget_left i j then refine_cell s ~node i j
           end)
     end;
     if flush_each_iter then List.iter (Runtime.flush_phase rt) [ red; black; refine ]
   done;
   (* Checksum over uncharged reads. *)
-  let peek_ops =
-    {
-      ops with
-      value = (fun i j -> Aggregate.peek2 mesh i j ~field:f_value);
-      refined = (fun i j -> Aggregate.peek2 mesh i j ~field:f_refined <> 0.0);
-      child =
-        (fun i j k ->
-          let kid = int_of_float (Aggregate.peek2 mesh i j ~field:f_kid) in
-          Machine.peek machine (kid + k));
-    }
+  let checksum =
+    checksum_of
+      ~value:(fun i j -> Aggregate.peek2 mesh i j ~field:f_value)
+      ~refined:(fun i j -> Aggregate.peek2 mesh i j ~field:f_refined <> 0.0)
+      ~child:(fun i j k ->
+        let kid = int_of_float (Aggregate.peek2 mesh i j ~field:f_kid) in
+        Machine.peek machine (kid + k))
+      n
   in
-  { checksum = checksum_of peek_ops n; refined_cells = !refined_count }
+  { checksum; refined_cells = !refined_count }
 
 (* -- sequential reference --------------------------------------------------- *)
 
@@ -275,10 +301,11 @@ let reference cfg =
           incr refined_count);
     }
   in
+  let s = View ops in
   let sweep parity =
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
-        if interior n i j && (i + j) land 1 = parity then sweep_cell ops i j
+        if interior n i j && (i + j) land 1 = parity then sweep_cell s ~node:0 i j
       done
     done
   in
@@ -291,9 +318,13 @@ let reference cfg =
       in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if interior n i j && refine_decision cfg ops ~budget_left i j then ops.refine_cell i j
+          if interior n i j && refine_decision cfg s ~node:0 ~budget_left i j then
+            refine_cell s ~node:0 i j
         done
       done
     end
   done;
-  { checksum = checksum_of ops n; refined_cells = !refined_count }
+  {
+    checksum = checksum_of ~value:ops.value ~refined:ops.refined ~child:ops.child n;
+    refined_cells = !refined_count;
+  }

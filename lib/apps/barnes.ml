@@ -50,6 +50,58 @@ type mem = {
   charge : node:int -> float -> unit;
 }
 
+(* The DSM run's storage is the [Dsm] arm, whose accessors inline down to the
+   machine, so a shared float reaches the force arithmetic unboxed; the
+   reference runs through [View] of the closure record. *)
+type store =
+  | Dsm of {
+      rt : Runtime.t;
+      machine : Machine.t;
+      bodies : Aggregate.t;
+      pool_base : int array;  (* per processor: its tree-node pool *)
+      pool_used : int array;
+      cap : int;  (* tree nodes per pool *)
+    }
+  | View of mem
+
+let[@inline] read s ~node a =
+  match s with Dsm d -> Machine.read d.machine ~node a | View m -> m.read ~node a
+
+let[@inline] write s ~node a v =
+  match s with Dsm d -> Machine.write d.machine ~node a v | View m -> m.write ~node a v
+
+let[@inline] body_read s ~node b f =
+  match s with Dsm d -> Aggregate.read1 d.bodies ~node b ~field:f | View m -> m.body_read ~node b f
+
+let[@inline] body_write s ~node b f v =
+  match s with
+  | Dsm d -> Aggregate.write1 d.bodies ~node b ~field:f v
+  | View m -> m.body_write ~node b f v
+
+let[@inline] charge s ~node us =
+  match s with Dsm d -> Runtime.charge_compute d.rt ~node us | View m -> m.charge ~node us
+
+let alloc_node s ~node =
+  match s with
+  | Dsm d ->
+      if d.pool_used.(node) >= d.cap then failwith "barnes: node pool exhausted";
+      let a = d.pool_base.(node) + (d.pool_used.(node) * node_words) in
+      d.pool_used.(node) <- d.pool_used.(node) + 1;
+      a
+  | View m -> m.alloc_node ~node
+
+let reset_pools = function
+  | Dsm d -> Array.fill d.pool_used 0 (Array.length d.pool_used) 0
+  | View m -> m.reset_pools ()
+
+let iter_pool s ~node f =
+  match s with
+  | Dsm d ->
+      for k = 0 to d.pool_used.(node) - 1 do
+        f (d.pool_base.(node) + (k * node_words))
+      done
+  | View m -> m.iter_pool ~node f
+
 (* -- body generation -------------------------------------------------------- *)
 
 (* Uniform ball of radius 0.3 around the box center, small random
@@ -79,24 +131,24 @@ let generate cfg =
 (* -- tree construction ------------------------------------------------------ *)
 
 let init_node mem ~node addr ~ty ~depth =
-  mem.write ~node addr (float_of_int ty);
-  mem.write ~node (addr + t_mass) 0.0;
-  mem.write ~node (addr + t_depth) (float_of_int depth);
+  write mem ~node addr (float_of_int ty);
+  write mem ~node (addr + t_mass) 0.0;
+  write mem ~node (addr + t_depth) (float_of_int depth);
   for c = 0 to 7 do
-    mem.write ~node (addr + t_child + c) 0.0
+    write mem ~node (addr + t_child + c) 0.0
   done
 
 let make_leaf mem ~node ~depth ~body ~mass ~x ~y ~z =
-  let a = mem.alloc_node ~node in
-  mem.write ~node a 2.0;
-  mem.write ~node (a + t_mass) mass;
-  mem.write ~node (a + t_com) x;
-  mem.write ~node (a + t_com + 1) y;
-  mem.write ~node (a + t_com + 2) z;
-  mem.write ~node (a + t_body) (float_of_int body);
-  mem.write ~node (a + t_depth) (float_of_int depth);
+  let a = alloc_node mem ~node in
+  write mem ~node a 2.0;
+  write mem ~node (a + t_mass) mass;
+  write mem ~node (a + t_com) x;
+  write mem ~node (a + t_com + 1) y;
+  write mem ~node (a + t_com + 2) z;
+  write mem ~node (a + t_body) (float_of_int body);
+  write mem ~node (a + t_depth) (float_of_int depth);
   for c = 0 to 7 do
-    mem.write ~node (a + t_child + c) 0.0
+    write mem ~node (a + t_child + c) 0.0
   done;
   a
 
@@ -117,25 +169,25 @@ let insert mem ~node ~root body ~mass ~x ~y ~z =
     if depth > max_tree_depth then failwith "barnes: maximum tree depth exceeded";
     let oct = octant ~cx ~cy ~cz ~x ~y ~z in
     let slot = cur + t_child + oct in
-    let child = int_of_float (mem.read ~node slot) in
+    let child = int_of_float (read mem ~node slot) in
     if child = 0 then begin
       let leaf = make_leaf mem ~node ~depth:(depth + 1) ~body ~mass ~x ~y ~z in
-      mem.write ~node slot (float_of_int leaf);
+      write mem ~node slot (float_of_int leaf);
       depth + 1
     end
-    else if mem.read ~node child = 2.0 then begin
+    else if read mem ~node child = 2.0 then begin
       (* Occupied by a leaf: split the cell and reinsert both bodies. *)
-      let inner = mem.alloc_node ~node in
+      let inner = alloc_node mem ~node in
       init_node mem ~node inner ~ty:1 ~depth:(depth + 1);
-      mem.write ~node slot (float_of_int inner);
+      write mem ~node slot (float_of_int inner);
       let ncx, ncy, ncz = oct_center ~cx ~cy ~cz ~half oct in
       let nhalf = half /. 2.0 in
-      let ox = mem.read ~node (child + t_com)
-      and oy = mem.read ~node (child + t_com + 1)
-      and oz = mem.read ~node (child + t_com + 2) in
+      let ox = read mem ~node (child + t_com)
+      and oy = read mem ~node (child + t_com + 1)
+      and oz = read mem ~node (child + t_com + 2) in
       let ooct = octant ~cx:ncx ~cy:ncy ~cz:ncz ~x:ox ~y:oy ~z:oz in
-      mem.write ~node (child + t_depth) (float_of_int (depth + 2));
-      mem.write ~node (inner + t_child + ooct) (float_of_int child);
+      write mem ~node (child + t_depth) (float_of_int (depth + 2));
+      write mem ~node (inner + t_child + ooct) (float_of_int child);
       go inner ~cx:ncx ~cy:ncy ~cz:ncz ~half:nhalf ~depth:(depth + 1)
     end
     else begin
@@ -152,94 +204,103 @@ let insert mem ~node ~root body ~mass ~x ~y ~z =
 let center_of_mass_node mem ~node addr =
   let mass = ref 0.0 and mx = ref 0.0 and my = ref 0.0 and mz = ref 0.0 in
   for c = 0 to 7 do
-    let child = int_of_float (mem.read ~node (addr + t_child + c)) in
+    let child = int_of_float (read mem ~node (addr + t_child + c)) in
     if child <> 0 then begin
-      let m = mem.read ~node (child + t_mass) in
+      let m = read mem ~node (child + t_mass) in
       mass := !mass +. m;
-      mx := !mx +. (m *. mem.read ~node (child + t_com));
-      my := !my +. (m *. mem.read ~node (child + t_com + 1));
-      mz := !mz +. (m *. mem.read ~node (child + t_com + 2))
+      mx := !mx +. (m *. read mem ~node (child + t_com));
+      my := !my +. (m *. read mem ~node (child + t_com + 1));
+      mz := !mz +. (m *. read mem ~node (child + t_com + 2))
     end
   done;
-  mem.write ~node (addr + t_mass) !mass;
+  write mem ~node (addr + t_mass) !mass;
   if !mass > 0.0 then begin
-    mem.write ~node (addr + t_com) (!mx /. !mass);
-    mem.write ~node (addr + t_com + 1) (!my /. !mass);
-    mem.write ~node (addr + t_com + 2) (!mz /. !mass)
+    write mem ~node (addr + t_com) (!mx /. !mass);
+    write mem ~node (addr + t_com + 1) (!my /. !mass);
+    write mem ~node (addr + t_com + 2) (!mz /. !mass)
   end
 
 (* -- force computation ------------------------------------------------------ *)
 
-type force_scratch = { stack_addr : int array; stack_half : float array }
+type force_scratch = { stack_addr : int array; stack_half : float array; mutable sp : int }
 
-let make_scratch () = { stack_addr = Array.make 4096 0; stack_half = Array.make 4096 0.0 }
+let make_scratch () = { stack_addr = Array.make 4096 0; stack_half = Array.make 4096 0.0; sp = 0 }
+
+let[@inline] push scratch a half =
+  scratch.stack_addr.(scratch.sp) <- a;
+  scratch.stack_half.(scratch.sp) <- half;
+  scratch.sp <- scratch.sp + 1
+
+(* One body's force, accumulated in place: an all-float record holds its
+   fields unboxed. *)
+type force = { mutable fx : float; mutable fy : float; mutable fz : float }
+
+let[@inline] interact cfg mem f ~node ~px ~py ~pz ~m_self m ox oy oz =
+  let dx = ox -. px and dy = oy -. py and dz = oz -. pz in
+  let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. cfg.eps2 in
+  let inv = 1.0 /. (r2 *. sqrt r2) in
+  let s = m_self *. m *. inv in
+  f.fx <- f.fx +. (s *. dx);
+  f.fy <- f.fy +. (s *. dy);
+  f.fz <- f.fz +. (s *. dz);
+  charge mem ~node 20.0
 
 let compute_force cfg mem scratch ~node ~root body =
-  let px = mem.body_read ~node body f_px
-  and py = mem.body_read ~node body (f_px + 1)
-  and pz = mem.body_read ~node body (f_px + 2)
-  and m_self = mem.body_read ~node body f_mass in
-  let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-  let sp = ref 0 in
-  let push a h =
-    scratch.stack_addr.(!sp) <- a;
-    scratch.stack_half.(!sp) <- h;
-    incr sp
-  in
+  let px = body_read mem ~node body f_px
+  and py = body_read mem ~node body (f_px + 1)
+  and pz = body_read mem ~node body (f_px + 2)
+  and m_self = body_read mem ~node body f_mass in
+  let f = { fx = 0.0; fy = 0.0; fz = 0.0 } in
   let theta2 = cfg.theta *. cfg.theta in
-  push root 0.5;
-  while !sp > 0 do
-    decr sp;
-    let a = scratch.stack_addr.(!sp) and half = scratch.stack_half.(!sp) in
-    let ty = mem.read ~node a in
-    let interact m ox oy oz =
-      let dx = ox -. px and dy = oy -. py and dz = oz -. pz in
-      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. cfg.eps2 in
-      let inv = 1.0 /. (r2 *. sqrt r2) in
-      let s = m_self *. m *. inv in
-      fx := !fx +. (s *. dx);
-      fy := !fy +. (s *. dy);
-      fz := !fz +. (s *. dz);
-      mem.charge ~node 20.0
-    in
+  push scratch root 0.5;
+  while scratch.sp > 0 do
+    scratch.sp <- scratch.sp - 1;
+    let a = scratch.stack_addr.(scratch.sp) and half = scratch.stack_half.(scratch.sp) in
+    let ty = read mem ~node a in
     if ty = 2.0 then begin
-      if int_of_float (mem.read ~node (a + t_body)) <> body then
-        interact (mem.read ~node (a + t_mass))
-          (mem.read ~node (a + t_com))
-          (mem.read ~node (a + t_com + 1))
-          (mem.read ~node (a + t_com + 2))
+      if int_of_float (read mem ~node (a + t_body)) <> body then begin
+        (* A leaf's fields, read in the simulated order: last field first. *)
+        let oz = read mem ~node (a + t_com + 2) in
+        let oy = read mem ~node (a + t_com + 1) in
+        let ox = read mem ~node (a + t_com) in
+        let m = read mem ~node (a + t_mass) in
+        interact cfg mem f ~node ~px ~py ~pz ~m_self m ox oy oz
+      end
     end
     else begin
-      let m = mem.read ~node (a + t_mass) in
+      let m = read mem ~node (a + t_mass) in
       if m > 0.0 then begin
-        let ox = mem.read ~node (a + t_com)
-        and oy = mem.read ~node (a + t_com + 1)
-        and oz = mem.read ~node (a + t_com + 2) in
+        let ox = read mem ~node (a + t_com)
+        and oy = read mem ~node (a + t_com + 1)
+        and oz = read mem ~node (a + t_com + 2) in
         let dx = ox -. px and dy = oy -. py and dz = oz -. pz in
         let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. cfg.eps2 in
         let size = 2.0 *. half in
-        if size *. size < theta2 *. r2 then interact m ox oy oz
+        if size *. size < theta2 *. r2 then
+          interact cfg mem f ~node ~px ~py ~pz ~m_self m ox oy oz
         else
           for c = 0 to 7 do
-            let child = int_of_float (mem.read ~node (a + t_child + c)) in
-            if child <> 0 then push child (half /. 2.0)
+            let child = int_of_float (read mem ~node (a + t_child + c)) in
+            if child <> 0 then push scratch child (half /. 2.0)
           done
       end
     end
   done;
-  mem.body_write ~node body f_fx !fx;
-  mem.body_write ~node body (f_fx + 1) !fy;
-  mem.body_write ~node body (f_fx + 2) !fz
+  body_write mem ~node body f_fx f.fx;
+  body_write mem ~node body (f_fx + 1) f.fy;
+  body_write mem ~node body (f_fx + 2) f.fz
 
 let update_body cfg mem ~node body =
-  let m = mem.body_read ~node body f_mass in
-  mem.charge ~node 10.0;
+  let m = body_read mem ~node body f_mass in
+  charge mem ~node 10.0;
   for k = 0 to 2 do
-    let v = mem.body_read ~node body (f_vx + k) +. (cfg.dt *. mem.body_read ~node body (f_fx + k) /. m) in
-    let p = mem.body_read ~node body (f_px + k) +. (cfg.dt *. v) in
+    let v =
+      body_read mem ~node body (f_vx + k) +. (cfg.dt *. body_read mem ~node body (f_fx + k) /. m)
+    in
+    let p = body_read mem ~node body (f_px + k) +. (cfg.dt *. v) in
     let p = p -. Float.floor p in
-    mem.body_write ~node body (f_vx + k) v;
-    mem.body_write ~node body (f_px + k) p
+    body_write mem ~node body (f_vx + k) v;
+    body_write mem ~node body (f_px + k) p
   done
 
 (* -- the full simulation (shared between DSM run and reference) ------------- *)
@@ -249,7 +310,7 @@ let update_body cfg mem ~node body =
    owner, with the given phase bracketing; [foreach_nodes phase f] runs one
    task per processor. *)
 type driver = {
-  mem : mem;
+  mem : store;
   nprocs : int;
   owner : int -> int;
   foreach_bodies : string -> (node:int -> int -> unit) -> unit;
@@ -264,17 +325,17 @@ let simulate cfg d =
   let root = ref 0 in
   for _step = 1 to cfg.iterations do
     (* Phase 1: tree build (unstructured writes). *)
-    d.mem.reset_pools ();
+    reset_pools d.mem;
     let local_max = Array.make d.nprocs 0 in
     let allocated = ref 0 in
     (* Node 0 reinitializes the root before the parallel build phase. *)
-    root := d.mem.alloc_node ~node:0;
+    root := alloc_node d.mem ~node:0;
     init_node d.mem ~node:0 !root ~ty:1 ~depth:0;
     d.foreach_bodies "make_tree" (fun ~node body ->
-        let x = d.mem.body_read ~node body f_px
-        and y = d.mem.body_read ~node body (f_px + 1)
-        and z = d.mem.body_read ~node body (f_px + 2)
-        and mass = d.mem.body_read ~node body f_mass in
+        let x = body_read d.mem ~node body f_px
+        and y = body_read d.mem ~node body (f_px + 1)
+        and z = body_read d.mem ~node body (f_px + 2)
+        and mass = body_read d.mem ~node body f_mass in
         let depth = insert d.mem ~node ~root:!root body ~mass ~x ~y ~z in
         if depth > local_max.(node) then local_max.(node) <- depth);
     let max_depth = d.reduce_max (Array.fold_left max 0 local_max) in
@@ -283,12 +344,12 @@ let simulate cfg d =
     d.region "center_of_mass" (fun () ->
         for depth = max_depth - 1 downto 0 do
           d.foreach_nodes "center_of_mass" (fun ~node ->
-              d.mem.iter_pool ~node (fun addr ->
+              iter_pool d.mem ~node (fun addr ->
                   if
-                    d.mem.read ~node addr = 1.0
-                    && int_of_float (d.mem.read ~node (addr + t_depth)) = depth
+                    read d.mem ~node addr = 1.0
+                    && int_of_float (read d.mem ~node (addr + t_depth)) = depth
                   then begin
-                    d.mem.charge ~node 5.0;
+                    charge d.mem ~node 5.0;
                     center_of_mass_node d.mem ~node addr
                   end))
         done);
@@ -300,7 +361,7 @@ let simulate cfg d =
     (* Count nodes allocated this step. *)
     allocated := 0;
     for p = 0 to d.nprocs - 1 do
-      d.mem.iter_pool ~node:p (fun _ -> incr allocated)
+      iter_pool d.mem ~node:p (fun _ -> incr allocated)
     done;
     stats := { !stats with tree_nodes = !allocated; max_depth }
   done;
@@ -311,8 +372,8 @@ let simulate cfg d =
     for k = 0 to 2 do
       acc :=
         !acc
-        +. Float.abs (d.mem.body_read ~node b (f_fx + k))
-        +. d.mem.body_read ~node b (f_px + k)
+        +. Float.abs (body_read d.mem ~node b (f_fx + k))
+        +. body_read d.mem ~node b (f_px + k)
     done
   done;
   { !stats with checksum = !acc }
@@ -340,28 +401,7 @@ let run rt cfg =
   let pool_base =
     Array.init nprocs (fun p -> Machine.alloc machine ~words:(cap * node_words) ~home:p)
   in
-  let pool_used = Array.make nprocs 0 in
-  let mem =
-    {
-      read = (fun ~node a -> Machine.read machine ~node a);
-      write = (fun ~node a v -> Machine.write machine ~node a v);
-      body_read = (fun ~node b f -> Aggregate.read1 bodies ~node b ~field:f);
-      body_write = (fun ~node b f v -> Aggregate.write1 bodies ~node b ~field:f v);
-      alloc_node =
-        (fun ~node ->
-          if pool_used.(node) >= cap then failwith "barnes: node pool exhausted";
-          let a = pool_base.(node) + (pool_used.(node) * node_words) in
-          pool_used.(node) <- pool_used.(node) + 1;
-          a);
-      reset_pools = (fun () -> Array.fill pool_used 0 nprocs 0);
-      iter_pool =
-        (fun ~node f ->
-          for k = 0 to pool_used.(node) - 1 do
-            f (pool_base.(node) + (k * node_words))
-          done);
-      charge = (fun ~node us -> Runtime.charge_compute rt ~node us);
-    }
-  in
+  let mem = Dsm { rt; machine; bodies; pool_base; pool_used = Array.make nprocs 0; cap } in
   (* Directive placement mirrors the compiled Figure-4 skeleton: every phase
      is scheduled; center_of_mass is a hoisted region. *)
   let phases = Hashtbl.create 8 in
@@ -442,7 +482,7 @@ let reference cfg =
      suffices for the rest. *)
   let d =
     {
-      mem;
+      mem = View mem;
       nprocs = 1;
       owner = (fun _ -> 0);
       foreach_bodies =

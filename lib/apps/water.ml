@@ -122,7 +122,9 @@ let min_image d = d -. Float.round d
 
 (* Storage access, identical across the DSM run and the reference:
    [read]/[write] touch molecule fields, [partial_*] touch a contributor
-   node's reduction row (C** variant only). *)
+   node's reduction row (C** variant only).  The DSM run's accessors inline
+   down to the machine ([Dsm]), so a shared float reaches the arithmetic
+   unboxed; the reference goes through this record of closures ([View]). *)
 type ops = {
   read : node:int -> int -> int -> float;
   write : node:int -> int -> int -> float -> unit;
@@ -131,6 +133,40 @@ type ops = {
   charge : node:int -> float -> unit;
 }
 
+type store =
+  | Dsm of {
+      rt : Runtime.t;
+      machine : Machine.t;
+      mols : Aggregate.t;
+      partials : Machine.addr array;  (* base of each node's reduction row *)
+    }
+  | View of ops
+
+let[@inline] read s ~node i w =
+  match s with Dsm d -> Aggregate.read1 d.mols ~node i ~field:w | View o -> o.read ~node i w
+
+let[@inline] write s ~node i w v =
+  match s with Dsm d -> Aggregate.write1 d.mols ~node i ~field:w v | View o -> o.write ~node i w v
+
+let[@inline] partial_read s ~node ~c i k =
+  match s with
+  | Dsm d -> Machine.read d.machine ~node (d.partials.(c) + (i * 4) + k)
+  | View o -> o.partial_read ~node ~c i k
+
+let[@inline] partial_write s ~node ~c i k v =
+  match s with
+  | Dsm d -> Machine.write d.machine ~node (d.partials.(c) + (i * 4) + k) v
+  | View o -> o.partial_write ~node ~c i k v
+
+let[@inline] charge s ~node us =
+  match s with Dsm d -> Runtime.charge_compute d.rt ~node us | View o -> o.charge ~node us
+
+(* Read-modify-writes: the read lands before the write. *)
+let[@inline] add s ~node i w v = write s ~node i w (read s ~node i w +. v)
+
+let[@inline] add_partial s ~node ~c i k v =
+  partial_write s ~node ~c i k (partial_read s ~node ~c i k +. v)
+
 let generate cfg =
   let g = Prng.create ~seed:cfg.seed in
   Array.init cfg.n_molecules (fun _ ->
@@ -138,69 +174,81 @@ let generate cfg =
       let v = Array.init 3 (fun _ -> Prng.float_range g (-0.02) 0.02) in
       (p, v))
 
-let predict_molecule cfg ops layout ~node i =
-  ops.charge ~node 10.0;
+let predict_molecule cfg s layout ~node i =
+  charge s ~node 10.0;
   for k = 0 to 2 do
-    let p =
-      ops.read ~node i (layout.pos + k) +. (cfg.dt *. ops.read ~node i (layout.vel + k))
-    in
-    ops.write ~node i (layout.pos + k) (p -. Float.floor p);
-    ops.write ~node i (layout.force + k) 0.0
+    let p = read s ~node i (layout.pos + k) +. (cfg.dt *. read s ~node i (layout.vel + k)) in
+    write s ~node i (layout.pos + k) (p -. Float.floor p);
+    write s ~node i (layout.force + k) 0.0
   done
 
-let correct_molecule cfg ops layout ~node i =
-  ops.charge ~node 10.0;
+let correct_molecule cfg s layout ~node i =
+  charge s ~node 10.0;
   for k = 0 to 2 do
-    ops.write ~node i (layout.vel + k)
-      (ops.read ~node i (layout.vel + k) +. (cfg.dt *. ops.read ~node i (layout.force + k)))
+    write s ~node i (layout.vel + k)
+      (read s ~node i (layout.vel + k) +. (cfg.dt *. read s ~node i (layout.force + k)))
   done
 
 (* One molecule's pair loop (each pair computed once, with the n/2 molecules
-   following it).  [accumulate_j] receives the j-side contribution. *)
-let interact_pairs cfg ops layout ~node ~interactions ~accumulate_j i =
+   following it).  The j-side contribution lands in place in the other
+   molecule's force field ([splash]) or in this node's Partial row. *)
+let interact_pairs cfg s layout ~node ~interactions ~splash i =
   let n = cfg.n_molecules in
   let rc2 = cfg.cutoff *. cfg.cutoff in
   let half = n / 2 in
-  let px = ops.read ~node i layout.pos
-  and py = ops.read ~node i (layout.pos + 1)
-  and pz = ops.read ~node i (layout.pos + 2) in
+  let px = read s ~node i layout.pos
+  and py = read s ~node i (layout.pos + 1)
+  and pz = read s ~node i (layout.pos + 2) in
   let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
   for k = 1 to half do
     (* The diametric pair would be visited twice; only its lower end does
        the work. *)
     if not (2 * k = n && i >= half) then begin
       let j = (i + k) mod n in
-      let dx = min_image (ops.read ~node j layout.pos -. px)
-      and dy = min_image (ops.read ~node j (layout.pos + 1) -. py)
-      and dz = min_image (ops.read ~node j (layout.pos + 2) -. pz) in
+      let dx = min_image (read s ~node j layout.pos -. px)
+      and dy = min_image (read s ~node j (layout.pos + 1) -. py)
+      and dz = min_image (read s ~node j (layout.pos + 2) -. pz) in
       let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
       if r2 < rc2 then begin
-        let s = force_magnitude cfg r2 in
-        fx := !fx +. (s *. dx);
-        fy := !fy +. (s *. dy);
-        fz := !fz +. (s *. dz);
-        accumulate_j j (-.s *. dx) (-.s *. dy) (-.s *. dz);
+        let f = force_magnitude cfg r2 in
+        fx := !fx +. (f *. dx);
+        fy := !fy +. (f *. dy);
+        fz := !fz +. (f *. dz);
+        let vx = -.f *. dx and vy = -.f *. dy and vz = -.f *. dz in
+        if splash then begin
+          (* In-place accumulation into the other molecule's force field:
+             migratory remote read-modify-writes under write-invalidate. *)
+          add s ~node j layout.force vx;
+          add s ~node j (layout.force + 1) vy;
+          add s ~node j (layout.force + 2) vz
+        end
+        else begin
+          (* C** reduction semantics: contributions go to the contributor's
+             own Partial row (local writes), gathered by the combine phase. *)
+          add_partial s ~node ~c:node j 0 vx;
+          add_partial s ~node ~c:node j 1 vy;
+          add_partial s ~node ~c:node j 2 vz
+        end;
         incr interactions;
-        ops.charge ~node 40.0
+        charge s ~node 40.0
       end
     end
   done;
   (* The i side accumulates locally and stores once (forces were zeroed in
      predict). *)
-  let add w v = ops.write ~node i w (ops.read ~node i w +. v) in
-  add layout.force !fx;
-  add (layout.force + 1) !fy;
-  add (layout.force + 2) !fz
+  add s ~node i layout.force !fx;
+  add s ~node i (layout.force + 1) !fy;
+  add s ~node i (layout.force + 2) !fz
 
-let checksum_of ops layout n =
+let checksum_of read layout n =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     for k = 0 to 2 do
       acc :=
         !acc
-        +. ops.read ~node:0 i (layout.pos + k)
-        +. Float.abs (ops.read ~node:0 i (layout.vel + k))
-        +. Float.abs (ops.read ~node:0 i (layout.force + k))
+        +. read i (layout.pos + k)
+        +. Float.abs (read i (layout.vel + k))
+        +. Float.abs (read i (layout.force + k))
     done
   done;
   !acc
@@ -208,7 +256,7 @@ let checksum_of ops layout n =
 (* The drivers supply phase iteration; [foreach] runs per molecule grouped by
    owner, [foreach_partial] per (contributor row, molecule) element. *)
 type driver = {
-  ops : ops;
+  store : store;
   nprocs : int;
   foreach : string -> (node:int -> int -> unit) -> unit;
   foreach_partial : string -> (node:int -> c:int -> int -> unit) -> unit;
@@ -216,48 +264,27 @@ type driver = {
 
 let simulate cfg d layout ~splash =
   let interactions = ref 0 in
-  let ops = d.ops in
+  let s = d.store in
   for _step = 1 to cfg.iterations do
-    d.foreach "predict" (fun ~node i -> predict_molecule cfg ops layout ~node i);
-    if splash then
-      (* In-place accumulation into the other molecule's force field:
-         migratory remote read-modify-writes under write-invalidate. *)
-      d.foreach "interf" (fun ~node i ->
-          interact_pairs cfg ops layout ~node ~interactions
-            ~accumulate_j:(fun j vx vy vz ->
-              let add w v = ops.write ~node j w (ops.read ~node j w +. v) in
-              add layout.force vx;
-              add (layout.force + 1) vy;
-              add (layout.force + 2) vz)
-            i)
-    else begin
-      (* C** reduction semantics: contributions go to the contributor's own
-         Partial row (local writes), gathered by the combine phase. *)
+    d.foreach "predict" (fun ~node i -> predict_molecule cfg s layout ~node i);
+    if not splash then
       d.foreach_partial "zero_partials" (fun ~node ~c i ->
           for k = 0 to 2 do
-            ops.partial_write ~node ~c i k 0.0
+            partial_write s ~node ~c i k 0.0
           done);
-      d.foreach "interf" (fun ~node i ->
-          interact_pairs cfg ops layout ~node ~interactions
-            ~accumulate_j:(fun j vx vy vz ->
-              let add k v =
-                ops.partial_write ~node ~c:node j k (ops.partial_read ~node ~c:node j k +. v)
-              in
-              add 0 vx;
-              add 1 vy;
-              add 2 vz)
-            i);
+    d.foreach "interf" (fun ~node i ->
+        interact_pairs cfg s layout ~node ~interactions ~splash i);
+    if not splash then
       d.foreach "combine" (fun ~node i ->
-          ops.charge ~node 10.0;
+          charge s ~node 10.0;
           for k = 0 to 2 do
-            let acc = ref (ops.read ~node i (layout.force + k)) in
+            let acc = ref (read s ~node i (layout.force + k)) in
             for c = 0 to d.nprocs - 1 do
-              acc := !acc +. ops.partial_read ~node ~c i k
+              acc := !acc +. partial_read s ~node ~c i k
             done;
-            ops.write ~node i (layout.force + k) !acc
-          done)
-    end;
-    d.foreach "correct" (fun ~node i -> correct_molecule cfg ops layout ~node i)
+            write s ~node i (layout.force + k) !acc
+          done);
+    d.foreach "correct" (fun ~node i -> correct_molecule cfg s layout ~node i)
   done;
   !interactions
 
@@ -286,17 +313,7 @@ let dsm_run rt cfg ~splash =
         Aggregate.poke1 mols i ~field:(layout.vel + k) v.(k)
       done)
     init;
-  let ops =
-    {
-      read = (fun ~node i w -> Aggregate.read1 mols ~node i ~field:w);
-      write = (fun ~node i w v -> Aggregate.write1 mols ~node i ~field:w v);
-      partial_read =
-        (fun ~node ~c i k -> Machine.read machine ~node (partials.(c) + (i * 4) + k));
-      partial_write =
-        (fun ~node ~c i k v -> Machine.write machine ~node (partials.(c) + (i * 4) + k) v);
-      charge = (fun ~node us -> Runtime.charge_compute rt ~node us);
-    }
-  in
+  let store = Dsm { rt; machine; mols; partials } in
   (* The C** version's directives come from the compiled skeleton; the Splash
      baseline has none. *)
   let phases = Hashtbl.create 8 in
@@ -307,7 +324,7 @@ let dsm_run rt cfg ~splash =
     [ "predict"; "zero_partials"; "interf"; "combine"; "correct" ];
   let d =
     {
-      ops;
+      store;
       nprocs;
       foreach =
         (fun name f ->
@@ -322,8 +339,8 @@ let dsm_run rt cfg ~splash =
     }
   in
   let interactions = simulate cfg d layout ~splash in
-  let peek_ops = { ops with read = (fun ~node:_ i w -> Aggregate.peek1 mols i ~field:w) } in
-  { checksum = checksum_of peek_ops layout cfg.n_molecules; interactions }
+  let peek i w = Aggregate.peek1 mols i ~field:w in
+  { checksum = checksum_of peek layout cfg.n_molecules; interactions }
 
 let run rt cfg = dsm_run rt cfg ~splash:false
 let run_splash rt cfg = dsm_run rt cfg ~splash:true
@@ -355,7 +372,7 @@ let reference_run cfg ~splash ~nodes =
      execution (and therefore its floating-point accumulation order). *)
   let d =
     {
-      ops;
+      store = View ops;
       nprocs = nodes;
       foreach =
         (fun _ f ->
@@ -373,7 +390,7 @@ let reference_run cfg ~splash ~nodes =
     }
   in
   let interactions = simulate cfg d layout ~splash in
-  { checksum = checksum_of ops layout cfg.n_molecules; interactions }
+  { checksum = checksum_of (fun i w -> ops.read ~node:0 i w) layout cfg.n_molecules; interactions }
 
 let reference ?(nodes = 32) cfg = reference_run cfg ~splash:false ~nodes
 let reference_splash ?(nodes = 32) cfg = reference_run cfg ~splash:true ~nodes

@@ -67,18 +67,32 @@ let size t = Array.fold_left ( * ) 1 t.dims
 let elem_words t = t.elem_words
 let dist t = t.dist
 
-let check_field t field =
-  if field < 0 || field >= t.elem_words then
-    invalid_arg (Printf.sprintf "Aggregate %s: field %d out of range" t.name field)
+(* The checks inline into every accessor, each with one out-of-line call:
+   the cold raisers below re-test to build the precise message. *)
+let[@inline never] bad_field t field =
+  invalid_arg (Printf.sprintf "Aggregate %s: field %d out of range" t.name field)
 
-let check1 t i =
-  if Array.length t.dims <> 1 then invalid_arg (Printf.sprintf "Aggregate %s: 2-D" t.name);
-  if i < 0 || i >= t.dims.(0) then invalid_arg (Printf.sprintf "Aggregate %s: index %d" t.name i)
+let[@inline never] bad_index1 t i =
+  if Array.length t.dims <> 1 then invalid_arg (Printf.sprintf "Aggregate %s: 2-D" t.name)
+  else invalid_arg (Printf.sprintf "Aggregate %s: index %d" t.name i)
 
-let check2 t i j =
-  if Array.length t.dims <> 2 then invalid_arg (Printf.sprintf "Aggregate %s: 1-D" t.name);
-  if i < 0 || i >= t.dims.(0) || j < 0 || j >= t.dims.(1) then
-    invalid_arg (Printf.sprintf "Aggregate %s: index (%d,%d)" t.name i j)
+let[@inline never] bad_index2 t i j =
+  if Array.length t.dims <> 2 then invalid_arg (Printf.sprintf "Aggregate %s: 1-D" t.name)
+  else invalid_arg (Printf.sprintf "Aggregate %s: index (%d,%d)" t.name i j)
+
+let[@inline] check_field t field = if field < 0 || field >= t.elem_words then bad_field t field
+
+let[@inline] check1 t i =
+  if Array.length t.dims <> 1 || i < 0 || i >= Array.unsafe_get t.dims 0 then bad_index1 t i
+
+let[@inline] check2 t i j =
+  if
+    Array.length t.dims <> 2
+    || i < 0
+    || i >= Array.unsafe_get t.dims 0
+    || j < 0
+    || j >= Array.unsafe_get t.dims 1
+  then bad_index2 t i j
 
 let owner1 t i =
   check1 t i;
@@ -88,20 +102,20 @@ let owner2 t i j =
   check2 t i j;
   Array.unsafe_get t.owners ((i * t.cols) + j)
 
-let addr1 t i ~field =
+let[@inline] addr1 t i ~field =
   check_field t field;
   check1 t i;
   Array.unsafe_get t.addrs i + field
 
-let addr2 t i j ~field =
+let[@inline] addr2 t i j ~field =
   check_field t field;
   check2 t i j;
   Array.unsafe_get t.addrs ((i * t.cols) + j) + field
 
-let read1 t ~node i ~field = Machine.read t.machine ~node (addr1 t i ~field)
-let write1 t ~node i ~field v = Machine.write t.machine ~node (addr1 t i ~field) v
-let read2 t ~node i j ~field = Machine.read t.machine ~node (addr2 t i j ~field)
-let write2 t ~node i j ~field v = Machine.write t.machine ~node (addr2 t i j ~field) v
+let[@inline] read1 t ~node i ~field = Machine.read t.machine ~node (addr1 t i ~field)
+let[@inline] write1 t ~node i ~field v = Machine.write t.machine ~node (addr1 t i ~field) v
+let[@inline] read2 t ~node i j ~field = Machine.read t.machine ~node (addr2 t i j ~field)
+let[@inline] write2 t ~node i j ~field v = Machine.write t.machine ~node (addr2 t i j ~field) v
 
 let peek1 t i ~field = Machine.peek t.machine (addr1 t i ~field)
 let peek2 t i j ~field = Machine.peek t.machine (addr2 t i j ~field)

@@ -95,10 +95,13 @@ type slow_entry = {
 let slow_ring_max = 8
 
 (* One server's state: the profile and grid tables behind [profiles_mutex],
-   and the slow-job ring behind [slow_mutex]. *)
+   and the slow-job ring behind [slow_mutex].  [nprofiles] mirrors the
+   profile table's size, so a metrics scrape reads it without waiting out a
+   collection that holds the mutex. *)
 type t = {
   profiles_mutex : Mutex.t;
   profiles : (string, Profile.t) Hashtbl.t;
+  nprofiles : int Atomic.t;
   grids : (string, (int, string) Hashtbl.t) Hashtbl.t;
   slow_mutex : Mutex.t;
   mutable slow_ring : slow_entry list;
@@ -108,6 +111,7 @@ let create () =
   {
     profiles_mutex = Mutex.create ();
     profiles = Hashtbl.create 8;
+    nprofiles = Atomic.make 0;
     grids = Hashtbl.create 8;
     slow_mutex = Mutex.create ();
     slow_ring = [];
@@ -129,7 +133,7 @@ let create () =
 let profile_block_bytes = 32
 let valid_blocks = List.init 14 (fun i -> 8 lsl i)
 
-let profile_count t = Mutex.protect t.profiles_mutex (fun () -> Hashtbl.length t.profiles)
+let profile_count t = Atomic.get t.nprofiles
 
 let predict_json ~app_name ~nodes ~block_bytes (pred : Model.prediction) =
   Printf.sprintf
@@ -166,6 +170,7 @@ let grid_for t (p : pred) =
                     (fun () -> ignore (p.p_run_app rt))
                 in
                 Hashtbl.replace t.profiles base_key profile;
+                Atomic.set t.nprofiles (Hashtbl.length t.profiles);
                 profile
           in
           match Model.prepare profile ~net:Network.default ~protocol:p.p_protocol with

@@ -104,10 +104,7 @@ type t = {
   job_ms : Obs.Histogram.t;
 }
 
-let tick t f =
-  Mutex.lock t.mm;
-  f ();
-  Mutex.unlock t.mm
+let tick t f = Mutex.protect t.mm f
 
 (* -- wire helpers --------------------------------------------------------- *)
 
@@ -453,13 +450,13 @@ let handle_job_conn t cfd =
 
 (* -- HTTP endpoint (/metrics, /healthz) ----------------------------------- *)
 
+(* Nothing here waits on the runner: [Runner.profile_count] is an atomic
+   read, so a scrape never stalls behind a cold profile collection. *)
 let metrics_text t =
-  Mutex.lock t.mm;
-  Obs.Gauge.set t.queue_depth (float_of_int (Atomic.get t.admitted));
-  Obs.Gauge.set t.predict_profiles (float_of_int (Runner.profile_count t.runner));
-  let text = Export.prometheus t.registry in
-  Mutex.unlock t.mm;
-  text
+  Mutex.protect t.mm (fun () ->
+      Obs.Gauge.set t.queue_depth (float_of_int (Atomic.get t.admitted));
+      Obs.Gauge.set t.predict_profiles (float_of_int (Runner.profile_count t.runner));
+      Export.prometheus t.registry)
 
 let handle_http t cfd =
   (try

@@ -617,34 +617,53 @@ let[@inline] add_compute t node us =
   let i = node lsl stat_shift in
   A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. us)
 
-let read t ~node a =
-  check_access t ~node a;
-  (* The touch hook runs before the fault so a collector that snapshots
-     counters when an access opens a profile segment attributes the
-     triggering fault to that segment, not the gap before it. *)
-  if t.observed then touch t ~node ~addr:a ~write:false;
+(* One access's bookkeeping: the count bump ([field] is [f_local_reads] or
+   [f_local_writes]) and the Compute charge, in one row of one table. *)
+let[@inline] count_access t ~node field =
+  ctr_add t node field 1.0;
+  add_compute t node t.local_us
+
+(* The tag test and the fault it may take; [true] if it faulted. *)
+let[@inline] fault_in t ~node a ~write =
   let b = a lsr t.block_shift in
-  let faulted = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) = tag_invalid_char in
-  if faulted then read_fault t ~node b;
-  (* Count bump and Compute charge land in one row of one table. *)
-  let stats = t.stats in
-  let i = node lsl stat_shift in
-  A1.unsafe_set stats (i lor f_local_reads) (A1.unsafe_get stats (i lor f_local_reads) +. 1.0);
-  A1.unsafe_set stats i (A1.unsafe_get stats i +. t.local_us);
-  if t.observed then accessed t ~node ~addr:a ~write:false ~faulted;
+  let tg = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) in
+  let faulted = if write then tg <> tag_read_write_char else tg = tag_invalid_char in
+  if faulted then if write then write_fault t ~node b else read_fault t ~node b;
+  faulted
+
+(* Every access but an unobserved hit, out of line: a bad node or address
+   (raises), an observed access, or one whose tag faults.  The touch hook
+   runs before the fault so a collector that snapshots counters when an
+   access opens a profile segment attributes the triggering fault to that
+   segment, not the gap before it. *)
+let[@inline never] access_cold t ~node a ~write =
+  check_access t ~node a;
+  if t.observed then touch t ~node ~addr:a ~write;
+  let faulted = fault_in t ~node a ~write in
+  count_access t ~node (if write then f_local_writes else f_local_reads);
+  if t.observed then accessed t ~node ~addr:a ~write ~faulted
+
+(* An in-range, unobserved access whose tag permits it. *)
+let[@inline] hit t ~node a ~write =
+  (node lor a) >= 0
+  && node < t.nnodes && a < t.word_limit && (not t.observed)
+  &&
+  let tg = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor (a lsr t.block_shift)) in
+  if write then tg = tag_read_write_char else tg <> tag_invalid_char
+
+(* Inlined at every call site (the release profile lets it cross modules):
+   the hit's test, count and charge, and one out-of-line call for anything
+   else.  So the float a read returns reaches the caller's arithmetic
+   unboxed, a write's argument is stored without a box, and each call site
+   adds one cold call. *)
+let[@inline] read t ~node a =
+  if hit t ~node a ~write:false then count_access t ~node f_local_reads
+  else access_cold t ~node a ~write:false;
   A1.unsafe_get t.mem a
 
-let write t ~node a v =
-  check_access t ~node a;
-  if t.observed then touch t ~node ~addr:a ~write:true;
-  let b = a lsr t.block_shift in
-  let faulted = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) <> tag_read_write_char in
-  if faulted then write_fault t ~node b;
-  let stats = t.stats in
-  let i = node lsl stat_shift in
-  A1.unsafe_set stats (i lor f_local_writes) (A1.unsafe_get stats (i lor f_local_writes) +. 1.0);
-  A1.unsafe_set stats i (A1.unsafe_get stats i +. t.local_us);
-  if t.observed then accessed t ~node ~addr:a ~write:true ~faulted;
+let[@inline] write t ~node a v =
+  if hit t ~node a ~write:true then count_access t ~node f_local_writes
+  else access_cold t ~node a ~write:true;
   A1.unsafe_set t.mem a v
 
 (* -- batched data path --------------------------------------------------- *)
@@ -673,7 +692,6 @@ let read_range t ~node a dst =
   if n > 0 then begin
     check_access t ~node a;
     check_access t ~node (a + n - 1);
-    let row = node lsl t.cap_shift in
     let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
     let pos = ref 0 in
     while !pos < n do
@@ -682,8 +700,7 @@ let read_range t ~node a dst =
       (* words of this block remaining in the range *)
       let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
       if t.observed then touch_span t ~node a ~pos:!pos ~stop ~write:false;
-      let faulted = A1.unsafe_get t.tags (row lor b) = tag_invalid_char in
-      if faulted then read_fault t ~node b;
+      let faulted = fault_in t ~node w ~write:false in
       ctr_add t node f_local_reads (float_of_int (stop - !pos));
       (* Word-at-a-time, only the word that trips the fault reports
          [faulted]; later words of the block see the now-valid tag. *)
@@ -712,7 +729,6 @@ let write_range t ~node a src =
   if n > 0 then begin
     check_access t ~node a;
     check_access t ~node (a + n - 1);
-    let row = node lsl t.cap_shift in
     let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
     let pos = ref 0 in
     while !pos < n do
@@ -720,8 +736,7 @@ let write_range t ~node a src =
       let b = w lsr t.block_shift in
       let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
       if t.observed then touch_span t ~node a ~pos:!pos ~stop ~write:true;
-      let faulted = A1.unsafe_get t.tags (row lor b) <> tag_read_write_char in
-      if faulted then write_fault t ~node b;
+      let faulted = fault_in t ~node w ~write:true in
       ctr_add t node f_local_writes (float_of_int (stop - !pos));
       if t.observed then access_span t ~node a ~pos:!pos ~stop ~write:true ~faulted
       else begin

@@ -173,7 +173,21 @@ val set_tag : t -> node:int -> block -> Tag.t -> unit
 (** {1 Application data path} *)
 
 val read : t -> node:int -> addr -> float
+(** [read t ~node a] is the word at [a] as [node] sees it.  The unobserved
+    hit inlines at its call site (the release profile lets the inlining
+    cross modules): the fused bounds check, the {!observed} test and the
+    tag test, then the count, the Compute charge and the load.  Anything
+    else, a bad node or address, an attached observer or a tag that
+    faults, takes one out-of-line call that runs the whole access: bounds
+    checks, hooks, the protocol's fault handler, count and charge.  So the
+    float reaches the caller's arithmetic unboxed, and a hit allocates
+    nothing.
+    @raise Invalid_argument on a bad node or address. *)
+
 val write : t -> node:int -> addr -> float -> unit
+(** [write t ~node a v] stores [v] at [a] from [node]: the dual of {!read},
+    inlined the same way, so a computed value is stored without being
+    boxed first. *)
 
 val read_range : t -> node:int -> addr -> float array -> unit
 (** [read_range t ~node a dst] reads [Array.length dst] consecutive words

@@ -18,6 +18,10 @@ module Aggregate = Ccdsm_runtime.Aggregate
 module Distribution = Ccdsm_runtime.Distribution
 module E = Ccdsm_harness.Experiments
 module Parjobs = Ccdsm_harness.Parjobs
+module Runtime = Ccdsm_runtime.Runtime
+module Adaptive = Ccdsm_apps.Adaptive
+module Barnes = Ccdsm_apps.Barnes
+module Water = Ccdsm_apps.Water
 
 let check = Alcotest.check
 
@@ -57,7 +61,10 @@ let machines_equal ~nodes ~words ~a1 ~a2 m1 m2 =
     List.iter
       (fun b ->
         if Machine.bucket_time m1 ~node b <> Machine.bucket_time m2 ~node b then ok := false)
-      Machine.all_buckets
+      Machine.all_buckets;
+    for b = 0 to Machine.num_blocks m1 - 1 do
+      if not (Tag.equal (Machine.tag m1 ~node b) (Machine.tag m2 ~node b)) then ok := false
+    done
   done;
   for i = 0 to words - 1 do
     if Machine.peek m1 (a1 + i) <> Machine.peek m2 (a2 + i) then ok := false
@@ -124,6 +131,45 @@ let test_range_equivalence =
            QCheck2.Test.fail_reportf "trace events differ:@.%s@.vs@.%s"
              (String.concat "\n" (List.rev !ev1))
              (String.concat "\n" (List.rev !ev2));
+         true))
+
+(* -- the inlined access path = the out-of-line one ---------------------------- *)
+
+(* [read]/[write] inline only the unobserved hit; an attached observer, even
+   one that implements no hook, sends every access through the out-of-line
+   path.  The same random word accesses from random nodes on an unobserved
+   machine and on such an observed one must return the same values and
+   leave the same counters, bucket times, tags and memory. *)
+let test_inlined_equals_observed =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"inlined read/write = observed path"
+       QCheck2.Gen.(list_size (0 -- 60) (quad (0 -- 3) (0 -- 63) bool (0 -- 1000)))
+       (fun ops ->
+         let mk () =
+           let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
+           ignore (Engine.stache m);
+           let a0 = Machine.alloc m ~words:16 ~home:0 in
+           for h = 1 to 3 do
+             ignore (Machine.alloc m ~words:16 ~home:h)
+           done;
+           for i = 0 to 63 do
+             Machine.poke m (a0 + i) (float_of_int i)
+           done;
+           (m, a0)
+         in
+         let m1, a1 = mk () and m2, a2 = mk () in
+         ignore (Machine.observe m2 Machine.no_observer : unit -> unit);
+         List.iter
+           (fun (node, i, write, v) ->
+             if write then begin
+               Machine.write m1 ~node (a1 + i) (float_of_int v);
+               Machine.write m2 ~node (a2 + i) (float_of_int v)
+             end
+             else if Machine.read m1 ~node (a1 + i) <> Machine.read m2 ~node (a2 + i) then
+               QCheck2.Test.fail_report "returned values differ")
+           ops;
+         if not (machines_equal ~nodes:4 ~words:64 ~a1 ~a2 m1 m2) then
+           QCheck2.Test.fail_report "counters/bucket times/tags/memory differ";
          true))
 
 (* -- aggregate address tables ------------------------------------------------ *)
@@ -318,6 +364,55 @@ let test_sanitized_alloc () =
       check Alcotest.int name (words ~sanitized:false) (words ~sanitized:true))
     loops
 
+(* The unobserved access path allocates nothing: [read] and [write] inline
+   at the call site, so a read hit's float goes straight into the sum and a
+   computed value is stored without being boxed.  The budget assumes the
+   workspace's release profile: under -opaque (dune's dev profile) nothing
+   inlines across modules, and every read boxes its result. *)
+let test_unobserved_alloc () =
+  let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
+  ignore (Engine.stache m);
+  let a = Machine.alloc m ~words:512 ~home:0 in
+  let sum = ref 0.0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    sum := !sum +. Machine.read m ~node:0 (a + (i land 511))
+  done;
+  for i = 0 to 9_999 do
+    Machine.write m ~node:0 (a + (i land 511)) (!sum +. float_of_int i)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sum);
+  if words > 16.0 then Alcotest.failf "10,000 reads and 10,000 writes allocated %.0f words" words
+
+(* Whole app runs stay under one minor word per simulated access: the apps
+   reach the machine through inlined accessors, and only faults, phases and
+   setup allocate.  Each app runs once first, so memoized setup (the C**
+   skeleton compile) is not counted.  Same release-profile assumption as
+   above. *)
+let test_app_alloc () =
+  let run_app name run =
+    let words_per_access () =
+      let rt =
+        Runtime.create
+          ~cfg:(Machine.default_config ~num_nodes:8 ~block_bytes:1024 ())
+          ~protocol:Runtime.Stache ()
+      in
+      let before = Gc.minor_words () in
+      run rt;
+      let words = Gc.minor_words () -. before in
+      let c = Machine.total_counters (Runtime.machine rt) in
+      words /. float_of_int (c.Machine.local_reads + c.Machine.local_writes)
+    in
+    ignore (words_per_access ());
+    let w = words_per_access () in
+    if w >= 1.0 then Alcotest.failf "%s: %.2f minor words per access" name w
+  in
+  run_app "adaptive" (fun rt -> ignore (Adaptive.run rt Adaptive.small));
+  run_app "barnes" (fun rt -> ignore (Barnes.run rt Barnes.small));
+  run_app "water" (fun rt -> ignore (Water.run rt Water.small));
+  run_app "water-splash" (fun rt -> ignore (Water.run_splash rt Water.small))
+
 (* Detaching the timeline collector or finishing a profile removes its
    observer, so the machine is back on the unobserved path. *)
 let test_detach_unobserves () =
@@ -342,12 +437,16 @@ let suite =
       [
         Alcotest.test_case "tag byte encoding pinned" `Quick test_tag_bytes;
         test_range_equivalence;
+        test_inlined_equals_observed;
         Alcotest.test_case "aggregate address tables" `Quick test_aggregate_tables;
         Alcotest.test_case "batched element accessors" `Quick test_elem_accessors;
         Alcotest.test_case "parjobs preserves order" `Quick test_parjobs_order;
         Alcotest.test_case "parjobs deterministic error" `Quick test_parjobs_error;
         Alcotest.test_case "sanitized accesses allocate nothing extra" `Quick
           test_sanitized_alloc;
+        Alcotest.test_case "unobserved read/write hits allocate nothing" `Quick
+          test_unobserved_alloc;
+        Alcotest.test_case "app runs allocate under a word per access" `Quick test_app_alloc;
         Alcotest.test_case "detach leaves the machine unobserved" `Quick test_detach_unobserves;
         Alcotest.test_case "figure text identical across job counts" `Slow
           test_jobs_byte_identical;

@@ -23,10 +23,15 @@ module Json = Ccdsm_util.Json
 
 let check = Alcotest.check
 
-let contains haystack needle =
+(* The first index of [needle] in [haystack]; allocation-free, since a
+   timeline-ring answer runs to tens of megabytes. *)
+let index_of haystack needle =
   let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
+  let rec matches i k = k = nn || (haystack.[i + k] = needle.[k] && matches i (k + 1)) in
+  let rec at i = if i + nn > nh then None else if matches i 0 then Some i else at (i + 1) in
   at 0
+
+let contains haystack needle = Option.is_some (index_of haystack needle)
 
 (* -- Pool ------------------------------------------------------------------ *)
 
@@ -679,6 +684,51 @@ let test_serve_failed_log () =
           check Alcotest.bool "reader not failed" true
             (contains m "ccdsm_serve_io_errors_total{site=\"reader\"} 0")))
 
+(* A scrape and a cache hit while the one pool domain collects a cold
+   8-node barnes profile for a predict job: neither waits for the
+   collection, so each answers in under a quarter of the predict's own
+   latency. *)
+let test_serve_scrape_during_collection () =
+  let apps = Ccdsm_harness.Experiments.sweep_apps Ccdsm_harness.Experiments.Scaled @ tiny_apps in
+  with_server ~domains:1 ~apps (fun srv path ->
+      ignore (roundtrip path [ spec_line ]);
+      let timed f =
+        let t0 = Unix.gettimeofday () in
+        let v = f () in
+        (v, Unix.gettimeofday () -. t0)
+      in
+      let predict = ref ([], 0.0) in
+      let predictor =
+        Thread.create
+          (fun () ->
+            predict :=
+              timed (fun () ->
+                  roundtrip path
+                    [ {|{"kind":"predict","app":"barnes","protocol":"predictive","nodes":8}|} ]))
+          ()
+      in
+      Thread.delay 0.1;
+      let scrape = ref ("", 0.0) in
+      let scraper =
+        Thread.create (fun () -> scrape := timed (fun () -> Server.metrics_text srv)) ()
+      in
+      Thread.delay 0.05;
+      let hit, hit_s = timed (fun () -> roundtrip path [ spec_line ]) in
+      Thread.join scraper;
+      Thread.join predictor;
+      let answer, predict_s = !predict and text, scrape_s = !scrape in
+      check Alcotest.bool "predict answered" true
+        (List.exists (fun r -> contains r "\"status\":\"ok\"") answer);
+      check Alcotest.bool "hit answered" true
+        (List.exists (fun r -> contains r "\"cache\":\"hit\"") hit);
+      check Alcotest.bool "scrape answered" true (contains text "ccdsm_serve_predict_profiles");
+      let quick what s =
+        if s >= predict_s /. 4.0 then
+          Alcotest.failf "%s took %.3f s during a %.3f s cold predict" what s predict_s
+      in
+      quick "scrape" scrape_s;
+      quick "cache hit" hit_s)
+
 (* Two servers in one process keep their own runner state: a slow-job
    capture on the first never shows in the second's timeline ring. *)
 let test_serve_runner_per_server () =
@@ -690,6 +740,161 @@ let test_serve_runner_per_server () =
             Alcotest.(list string)
             "second server's ring" [ {|{"id":2,"status":"ok","result":{"slow_jobs":[]}}|} ]
             (roundtrip second [ {|{"kind":"timeline","id":2}|} ])))
+
+(* -- the CLI round trip ----------------------------------------------------- *)
+
+(* A response or log line with its cache label blanked. *)
+let unlabel line =
+  match index_of line "\"cache\":\"" with
+  | None -> line
+  | Some i ->
+      let start = i + String.length "\"cache\":\"" in
+      let stop = String.index_from line start '"' in
+      String.sub line 0 start ^ "-" ^ String.sub line stop (String.length line - stop)
+
+let lines_of text = List.filter (( <> ) "") (String.split_on_char '\n' text)
+let count needle lines = List.length (List.filter (fun l -> contains l needle) lines)
+
+(* [repro serve] and [repro submit] end to end, as a user drives them: a small
+   job grid submitted twice over a temporary Unix socket, predict jobs, the
+   slow-job timeline ring, /healthz and /metrics over HTTP (on the port the
+   startup line reports for --http-port 0), a SIGTERM drain, and the request
+   log.  The /metrics text and the log stay next to the test binary
+   (serve-metrics.txt, serve-log.jsonl) for inspection. *)
+let test_serve_cli_round_trip () =
+  let here = Filename.dirname Sys.executable_name in
+  let repro = Filename.concat here "../bin/repro.exe" in
+  let log = Filename.concat here "serve-log.jsonl" in
+  (try Sys.remove log with Sys_error _ -> ());
+  let sock = Filename.temp_file "ccdsm-serve" ".sock" in
+  Sys.remove sock;
+  let spec_file lines =
+    let f = Filename.temp_file "ccdsm-jobs" ".txt" in
+    Out_channel.with_open_text f (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    f
+  in
+  let jobs =
+    spec_file
+      [
+        {|{"id":1,"app":"adaptive","protocol":"predictive"}|};
+        {|{"id":2,"app":"adaptive","protocol":"stache"}|};
+        {|{"id":3,"app":"water","protocol":"predictive","nodes":4}|};
+        {|{"id":4,"app":"water","protocol":"migratory","nodes":4}|};
+        {|{"id":5,"app":"adaptive","protocol":"commutative","block_bytes":64}|};
+        {|{"id":6,"app":"water","protocol":"write_update","nodes":4}|};
+      ]
+  and predict_jobs =
+    spec_file
+      [
+        {|{"id":"p1","kind":"predict","app":"adaptive","protocol":"predictive"}|};
+        {|{"id":"p2","kind":"predict","app":"adaptive","protocol":"predictive",|}
+        ^ {|"block_bytes":256}|};
+        {|{"id":"p3","kind":"predict","app":"adaptive","protocol":"stache","block_bytes":64}|};
+      ]
+  and timeline_job = spec_file [ {|{"id":"t1","kind":"timeline"}|} ] in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process repro
+      [|
+        repro; "serve"; "--socket"; sock; "--http-port"; "0"; "--jobs"; "2"; "--log"; log;
+        "--slow-ms"; "0.001";
+      |]
+      Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let server_out = Unix.in_channel_of_descr out_r in
+  let running = ref true in
+  Fun.protect
+    ~finally:(fun () ->
+      if !running then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      close_in_noerr server_out;
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ sock; jobs; predict_jobs; timeline_job ])
+    (fun () ->
+      (* The startup line is printed once the listeners are bound. *)
+      let startup = input_line server_out in
+      let marker = "http://127.0.0.1:" in
+      let port =
+        match index_of startup marker with
+        | Some i -> Scanf.sscanf (String.sub startup (i + String.length marker) 6) "%d" Fun.id
+        | None -> Alcotest.fail ("no metrics port in: " ^ startup)
+      in
+      let submit file =
+        let ic =
+          Unix.open_process_args_in repro [| repro; "submit"; "--socket"; sock; file |]
+        in
+        let lines = lines_of (In_channel.input_all ic) in
+        if Unix.close_process_in ic <> Unix.WEXITED 0 then Alcotest.fail "repro submit failed";
+        List.sort compare lines
+      in
+      let pass1 = submit jobs and pass2 = submit jobs in
+      check Alcotest.int "pass 2 is all hits" 6 (count {|"cache":"hit"|} pass2);
+      check Alcotest.(list string) "passes differ only in the cache label"
+        (List.map unlabel pass1) (List.map unlabel pass2);
+      check Alcotest.int "a latency breakdown on every sim result" 6
+        (count {|"latency":{"compute":|} pass1);
+      let ppass1 = submit predict_jobs and ppass2 = submit predict_jobs in
+      check Alcotest.int "predict pass 2 is all hits" 3 (count {|"cache":"hit"|} ppass2);
+      check Alcotest.int "predict keys" 3 (count {|"key":"predict:|} ppass1);
+      check Alcotest.int "predict results" 3 (count {|"kind":"predict"|} ppass1);
+      check Alcotest.(list string) "predict passes differ only in the cache label"
+        (List.map unlabel ppass1) (List.map unlabel ppass2);
+      (* Every computed job is slow at 0.001 ms; its capture re-run lands in
+         the ring after the reply. *)
+      let ring =
+        poll_until
+          (fun r -> contains r {|"timeline":|})
+          (fun () -> String.concat "\n" (submit timeline_job))
+      in
+      List.iter
+        (fun needle -> check Alcotest.bool ("ring has " ^ needle) true (contains ring needle))
+        [ {|"slow_jobs":|}; {|"timeline":|}; {|"exact":true|} ];
+      let http path =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n" path in
+            ignore (Unix.write_substring fd req 0 (String.length req));
+            let resp = In_channel.input_all (Unix.in_channel_of_descr fd) in
+            check Alcotest.bool (path ^ " answers 200") true (contains resp "HTTP/1.1 200 OK");
+            match index_of resp "\r\n\r\n" with
+            | Some i -> String.sub resp (i + 4) (String.length resp - i - 4)
+            | None -> Alcotest.fail ("no body: " ^ resp))
+      in
+      check Alcotest.string "/healthz" "ok\n" (http "/healthz");
+      let metrics = http "/metrics" in
+      Out_channel.with_open_text (Filename.concat here "serve-metrics.txt") (fun oc ->
+          output_string oc metrics);
+      List.iter
+        (fun line -> check Alcotest.bool line true (contains metrics line))
+        [
+          {|ccdsm_serve_cache_total{kind="hit"} 9|};
+          {|ccdsm_serve_cache_total{kind="miss"} 9|};
+          "ccdsm_serve_predict_jobs_total 6";
+          "ccdsm_serve_predict_profiles";
+          "ccdsm_serve_slow_jobs_total 9";
+        ];
+      Unix.kill pid Sys.sigterm;
+      let _, status = Unix.waitpid [] pid in
+      running := false;
+      check Alcotest.bool "SIGTERM drains, exit 0" true (status = Unix.WEXITED 0);
+      check Alcotest.bool "socket unlinked" false (Sys.file_exists sock);
+      let records = lines_of (In_channel.with_open_text log In_channel.input_all) in
+      check Alcotest.int "every computed job logged slow" 9 (count {|"slow":true|} records);
+      List.iter
+        (fun kind ->
+          check Alcotest.bool (kind ^ " logged") true
+            (count (Printf.sprintf {|"cache":"%s"|} kind) records > 0))
+        [ "timeline"; "hit"; "miss" ];
+      check Alcotest.int "every record ok" (List.length records)
+        (count {|"status":"ok"|} records))
 
 let suite =
   [
@@ -724,5 +929,8 @@ let suite =
         Alcotest.test_case "serve counts failed replies" `Quick test_serve_counts_reply_failures;
         Alcotest.test_case "serve survives a failed request log" `Quick test_serve_failed_log;
         Alcotest.test_case "serve runner state per server" `Quick test_serve_runner_per_server;
+        Alcotest.test_case "serve scrape and hit during a cold collection" `Quick
+          test_serve_scrape_during_collection;
+        Alcotest.test_case "serve CLI round trip" `Quick test_serve_cli_round_trip;
       ] );
   ]
