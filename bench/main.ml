@@ -162,20 +162,6 @@ let test_aggregate_addr =
           let r = !i land 63 and c = (!i * 7) land 63 in
           ignore (Sys.opaque_identity (Aggregate.addr2 agg r c ~field:(!i land 3)))))
 
-let test_read_range =
-  Test.make ~name:"micro-read-range-block"
-    (Staged.stage
-       (let m = Machine.create (small_machine ()) in
-        let _ = Ccdsm_proto.Engine.stache m in
-        let a = Machine.alloc m ~words:4096 ~home:0 in
-        let buf = Array.make 8 0.0 in
-        let i = ref 0 in
-        fun () ->
-          (* Home-node reads: the steady-state (no-fault) batched path. *)
-          incr i;
-          Machine.read_range m ~node:0 (a + (!i land 511) * 8) buf;
-          ignore (Sys.opaque_identity buf.(0))))
-
 let test_flat_tag_lookup =
   Test.make ~name:"micro-flat-tag-lookup"
     (Staged.stage
@@ -331,7 +317,6 @@ let tests =
       test_compile;
       test_bulk_runs;
       test_aggregate_addr;
-      test_read_range;
       test_flat_tag_lookup;
       test_directory_hit;
       test_phase_step_1024;

@@ -167,7 +167,7 @@ let run_inspector rt cfg =
       Distribution.iter_owned1 Distribution.Block1d ~nodes:nprocs ~n:cfg.n ~node (fun i ->
           Runtime.charge_compute rt ~node per_element_compute;
           Machine.charge machine ~node Machine.Compute
-            ((Machine.config machine).Machine.local_access_us *. float_of_int (cfg.degree + 1));
+            (Machine.local_access_us *. float_of_int (cfg.degree + 1));
           kernel cfg idx ~read_x:(fun j -> x.(j)) ~write_y:(fun i v -> y.(i) <- v) i)
     done;
     Machine.barrier machine ~bucket:Machine.Synch;
@@ -175,8 +175,7 @@ let run_inspector rt cfg =
     (* The copy-back is owner-local work. *)
     for node = 0 to nprocs - 1 do
       Distribution.iter_owned1 Distribution.Block1d ~nodes:nprocs ~n:cfg.n ~node (fun _ ->
-          Machine.charge machine ~node Machine.Compute
-            (2.0 *. (Machine.config machine).Machine.local_access_us))
+          Machine.charge machine ~node Machine.Compute (2.0 *. Machine.local_access_us))
     done;
     Machine.barrier machine ~bucket:Machine.Synch
   done;

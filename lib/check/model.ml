@@ -83,8 +83,6 @@ let op_name = function
   | Sched_drop -> "sched_drop"
   | Sched_retarget n -> Printf.sprintf "sched_retarget(n%d)" n
 
-let seq_to_string seq = String.concat "; " (List.map op_name seq)
-
 (* Does [op] make sense on a machine with [nodes] nodes and [blocks] blocks?
    Used when the shrinker tries smaller machines. *)
 let op_fits ~nodes ~blocks = function

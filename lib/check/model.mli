@@ -49,7 +49,6 @@ type op =
       (** retarget the first recorded schedule entry to the given node *)
 
 val op_name : op -> string
-val seq_to_string : op list -> string
 
 val op_fits : nodes:int -> blocks:int -> op -> bool
 (** Whether the op only references nodes/blocks below the given bounds.

@@ -31,9 +31,6 @@ let run ?jobs ?seed ?(depth = 4) configs =
       { cfg; depth; outcome = Explore.run ?seed ~max_depth:depth cfg })
     configs
 
-let all_ok cells =
-  List.for_all (fun c -> match c.outcome with Explore.Pass _ -> true | Explore.Fail _ -> false) cells
-
 let render cells =
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in

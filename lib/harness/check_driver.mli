@@ -27,8 +27,6 @@ val run : ?jobs:int -> ?seed:int -> ?depth:int -> Model.config list -> cell list
     level shallower to bound the larger alphabet).  [seed] shuffles each
     cell's expansion order — outcomes are order-invariant. *)
 
-val all_ok : cell list -> bool
-
 val render : cell list -> string
 (** The fixed-width result table. *)
 

@@ -43,15 +43,21 @@ let all_protocols () =
       | Error msg -> invalid_arg msg)
     (Runtime.protocol_names ())
 
-let run_one ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races ~run protocol =
+let create_runtime ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races protocol =
   let cfg = Machine.default_config ~num_nodes:nodes ~block_bytes () in
   let rt =
     Runtime.create ~cfg ~migratory_threshold ~sanitize:true ~check_races ~protocol ()
   in
-  let m = Runtime.machine rt in
   (match faults with
   | None -> ()
-  | Some p -> Machine.set_faults m (if Faults.is_zero p then None else Some (Faults.create p)));
+  | Some p ->
+      Machine.set_faults (Runtime.machine rt)
+        (if Faults.is_zero p then None else Some (Faults.create p)));
+  rt
+
+let run_one ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races ~run protocol =
+  let rt = create_runtime ~nodes ~block_bytes ~migratory_threshold ~faults ~check_races protocol in
+  let m = Runtime.machine rt in
   let checksum = run rt in
   let c = Machine.total_counters m in
   {

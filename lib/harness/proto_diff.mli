@@ -43,6 +43,19 @@ val digest_of_machine : Machine.t -> int64
 val all_protocols : unit -> Runtime.protocol list
 (** Every registered protocol, in registry (sorted-name) order. *)
 
+val create_runtime :
+  nodes:int ->
+  block_bytes:int ->
+  migratory_threshold:int ->
+  faults:Ccdsm_tempest.Faults.plan option ->
+  check_races:bool ->
+  Runtime.protocol ->
+  Runtime.t
+(** The fresh runtime {!run} runs each protocol on: a [nodes]-node machine
+    with [block_bytes] blocks and the invariant sanitizer attached
+    ([check_races] feeds it), the migratory [migratory_threshold], and the
+    fault plan [faults] installed (a zero plan removes the injector). *)
+
 val run :
   ?protocols:Runtime.protocol list ->
   ?nodes:int ->
@@ -55,12 +68,12 @@ val run :
   unit ->
   report
 (** Run [run] once per protocol (default: all registered) on a fresh
-    sanitized machine ([nodes] default 8, [block_bytes] default 32) and
+    {!create_runtime} ([nodes] default 8, [block_bytes] default 32) and
     compare heap digests.  [migratory_threshold] (default 1) sets the
     migratory protocol's detection threshold, carried through the
     per-protocol option records.  [faults] installs a fault plan on
-    every run (a zero plan removes the injector); [check_races] feeds the
-    sanitizer (disable for legitimate multi-writer apps like Barnes).
+    every run; [check_races] feeds the sanitizer (disable for legitimate
+    multi-writer apps like Barnes).
     @raise Ccdsm_proto.Sanitizer.Violation if any protocol's trace breaks
     its invariant discipline. *)
 

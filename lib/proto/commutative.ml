@@ -64,14 +64,6 @@ let to_invalid t ~node b =
   t.writers.(b) <- Nodeset.remove node t.writers.(b);
   t.readers.(b) <- Nodeset.remove node t.readers.(b)
 
-let writers_of t b =
-  ensure t b;
-  t.writers.(b)
-
-let readers_of t b =
-  ensure t b;
-  t.readers.(b)
-
 let dirty_blocks t = List.sort Int.compare (Hashtbl.fold (fun b () acc -> b :: acc) t.dirty [])
 let engine t = t.eng
 

@@ -22,7 +22,6 @@
     injection exercises merge recovery. *)
 
 module Machine = Ccdsm_tempest.Machine
-module Nodeset = Ccdsm_util.Nodeset
 
 type t
 
@@ -41,12 +40,6 @@ val coherence : Machine.t -> Coherence.t
 val engine : t -> Engine.t
 (** The engine used for exchanges and cost accounting (its directory is
     unused — the home copy is always canonical). *)
-
-val writers_of : t -> Machine.block -> Nodeset.t
-(** Current privatized ReadWrite holders (mirrors the machine's tags). *)
-
-val readers_of : t -> Machine.block -> Nodeset.t
-(** Current ReadOnly consumer copies (mirrors the machine's tags). *)
 
 val dirty_blocks : t -> Machine.block list
 (** Blocks privatized since their last merge, ascending. *)

@@ -26,10 +26,9 @@ type protocol =
 
 let protocol_label = function Stache -> "stache" | Predictive _ -> "predictive"
 
-let protocol_of_name ?(coalesce = true) ?(conflict_action = `Ignore) name =
-  match name with
+let protocol_of_name = function
   | "stache" -> Ok Stache
-  | "predictive" -> Ok (Predictive { coalesce; conflict_action })
+  | "predictive" -> Ok (Predictive { coalesce = true; conflict_action = `Ignore })
   | other ->
       Error
         (Printf.sprintf "protocol %S is not covered by the analytical model (modeled: stache, predictive)"

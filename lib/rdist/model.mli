@@ -58,13 +58,10 @@ type protocol =
   | Stache
   | Predictive of { coalesce : bool; conflict_action : [ `Ignore | `First_stable ] }
 
-val protocol_of_name :
-  ?coalesce:bool ->
-  ?conflict_action:[ `Ignore | `First_stable ] ->
-  string ->
-  (protocol, string) result
-(** Maps registry names ("stache", "predictive") to modeled protocols;
-    [Error] lists what the model covers for anything else. *)
+val protocol_of_name : string -> (protocol, string) result
+(** Maps registry names ("stache", "predictive") to modeled protocols, the
+    predictive one with its default options (coalescing on, conflicts
+    ignored); [Error] lists what the model covers for anything else. *)
 
 val protocol_label : protocol -> string
 

@@ -121,29 +121,3 @@ let peek1 t i ~field = Machine.peek t.machine (addr1 t i ~field)
 let peek2 t i j ~field = Machine.peek t.machine (addr2 t i j ~field)
 let poke1 t i ~field v = Machine.poke t.machine (addr1 t i ~field) v
 let poke2 t i j ~field v = Machine.poke t.machine (addr2 t i j ~field) v
-
-(* -- batched element accessors ------------------------------------------- *)
-
-let check_elem_span t len =
-  if len < 0 || len > t.elem_words then
-    invalid_arg (Printf.sprintf "Aggregate %s: element span %d" t.name len)
-
-let read_elem1 t ~node i dst =
-  check_elem_span t (Array.length dst);
-  check1 t i;
-  Machine.read_range t.machine ~node (Array.unsafe_get t.addrs i) dst
-
-let write_elem1 t ~node i src =
-  check_elem_span t (Array.length src);
-  check1 t i;
-  Machine.write_range t.machine ~node (Array.unsafe_get t.addrs i) src
-
-let read_elem2 t ~node i j dst =
-  check_elem_span t (Array.length dst);
-  check2 t i j;
-  Machine.read_range t.machine ~node (Array.unsafe_get t.addrs ((i * t.cols) + j)) dst
-
-let write_elem2 t ~node i j src =
-  check_elem_span t (Array.length src);
-  check2 t i j;
-  Machine.write_range t.machine ~node (Array.unsafe_get t.addrs ((i * t.cols) + j)) src

@@ -54,15 +54,3 @@ val peek1 : t -> int -> field:int -> float
 val peek2 : t -> int -> int -> field:int -> float
 val poke1 : t -> int -> field:int -> float -> unit
 val poke2 : t -> int -> int -> field:int -> float -> unit
-
-(** {1 Batched element accessors}
-
-    Whole-element transfers through {!Machine.read_range}/{!Machine.write_range}:
-    fields [0 .. Array.length buf - 1] of one element move in a single call
-    that validates each cache-block tag once.  Observationally identical to
-    the corresponding field-at-a-time loop. *)
-
-val read_elem1 : t -> node:int -> int -> float array -> unit
-val write_elem1 : t -> node:int -> int -> float array -> unit
-val read_elem2 : t -> node:int -> int -> int -> float array -> unit
-val write_elem2 : t -> node:int -> int -> int -> float array -> unit

@@ -37,7 +37,6 @@ type t = {
   heap : Shared_heap.t;
   proto_kind : protocol;
   mutable next_phase : int;
-  task_us : float;
   (* Always-on run accounting (plain field bumps, no registry work): folded
      into a metrics snapshot by the harness when one was requested. *)
   mutable phases_run : int;
@@ -47,7 +46,7 @@ type t = {
   obs : Obs.Registry.t option;  (* = Machine.obs machine, for phase spans *)
 }
 
-let create ?cfg ?(task_us = 1.0) ?(presend_coalesce = true) ?(conflict_action = `Ignore)
+let create ?cfg ?(presend_coalesce = true) ?(conflict_action = `Ignore)
     ?(migratory_threshold = 1) ?(sanitize = false) ?(check_races = true) ~protocol () =
   let cfg = match cfg with Some c -> c | None -> Machine.default_config () in
   let machine = Machine.create cfg in
@@ -76,7 +75,6 @@ let create ?cfg ?(task_us = 1.0) ?(presend_coalesce = true) ?(conflict_action = 
     heap = Shared_heap.create machine;
     proto_kind = protocol;
     next_phase = 0;
-    task_us;
     phases_run = 0;
     tasks_dispatched = 0;
     task_charged_us = 0.0;
@@ -99,9 +97,6 @@ let make_phase t ~name ~scheduled =
   p
 
 let phase_sites t = List.rev t.phase_sites
-
-let phase_name_of_id t id =
-  List.find_map (fun p -> if p.id = id then Some p.pname else None) t.phase_sites
 
 let phase_name p = p.pname
 let phase_id p = p.id
@@ -182,24 +177,19 @@ let run_phase t phase body =
       in
       Obs.phase_span reg ~phase:pid ~name ~watch:(watch_items t) exec
 
-(* Task-dispatch charging, batched: repeated [+. task_us] per task is the
-   same float sum as [float tasks *. task_us] only when [task_us] is exactly
-   representable arithmetic (the defaults are small integers), so the charge
-   accumulates task-at-a-time into a local and hits the machine's bucket once
-   per node per phase — one [Machine.charge] instead of one per task. *)
-let charge_tasks t ~node ~task_us tasks =
+(* The per-task scheduling overhead, charged as Compute: 1 µs, so a node's
+   [tasks] in one phase cost exactly [float tasks] µs, charged at once. *)
+let task_us = 1.0
+
+let charge_tasks t ~node tasks =
   if tasks > 0 then begin
-    let acc = ref 0.0 in
-    for _ = 1 to tasks do
-      acc := !acc +. task_us
-    done;
+    let us = float_of_int tasks *. task_us in
     t.tasks_dispatched <- t.tasks_dispatched + tasks;
-    t.task_charged_us <- t.task_charged_us +. !acc;
-    Machine.charge t.machine ~node Machine.Compute !acc
+    t.task_charged_us <- t.task_charged_us +. us;
+    Machine.charge t.machine ~node Machine.Compute us
   end
 
-let parallel_for_1d t ?phase ?task_us agg body =
-  let task_us = Option.value task_us ~default:t.task_us in
+let parallel_for_1d t ?phase agg body =
   let n = (Aggregate.dims agg).(0) in
   run_phase t phase (fun () ->
       for node = 0 to nodes t - 1 do
@@ -207,11 +197,10 @@ let parallel_for_1d t ?phase ?task_us agg body =
         Distribution.iter_owned1 (Aggregate.dist agg) ~nodes:(nodes t) ~n ~node (fun i ->
             incr tasks;
             body ~node ~i);
-        charge_tasks t ~node ~task_us !tasks
+        charge_tasks t ~node !tasks
       done)
 
-let parallel_for_2d t ?phase ?task_us agg body =
-  let task_us = Option.value task_us ~default:t.task_us in
+let parallel_for_2d t ?phase agg body =
   let dims = Aggregate.dims agg in
   if Array.length dims <> 2 then invalid_arg "Runtime.parallel_for_2d: 1-D aggregate";
   run_phase t phase (fun () ->
@@ -221,15 +210,15 @@ let parallel_for_2d t ?phase ?task_us agg body =
           ~cols:dims.(1) ~node (fun i j ->
             incr tasks;
             body ~node ~i ~j);
-        charge_tasks t ~node ~task_us !tasks
+        charge_tasks t ~node !tasks
       done)
 
 let parallel_nodes t ?phase body =
   run_phase t phase (fun () ->
       for node = 0 to nodes t - 1 do
-        charge_compute t ~node t.task_us;
+        charge_compute t ~node task_us;
         t.tasks_dispatched <- t.tasks_dispatched + 1;
-        t.task_charged_us <- t.task_charged_us +. t.task_us;
+        t.task_charged_us <- t.task_charged_us +. task_us;
         body ~node
       done)
 

@@ -39,7 +39,6 @@ type t
 
 val create :
   ?cfg:Machine.config ->
-  ?task_us:float ->
   ?presend_coalesce:bool ->
   ?conflict_action:[ `Ignore | `First_stable ] ->
   ?migratory_threshold:int ->
@@ -48,8 +47,8 @@ val create :
   protocol:protocol ->
   unit ->
   t
-(** [task_us] is the per-task scheduling overhead charged as compute
-    (default 1.0 microseconds).  [presend_coalesce] (default true) controls
+(** Every parallel task is charged 1 µs of scheduling overhead as
+    Compute.  [presend_coalesce] (default true) controls
     the predictive protocol's bulk-message coalescing and [conflict_action]
     its handling of conflict-marked schedule blocks (ablation hooks; ignored
     by the other protocols).  [migratory_threshold] (default 1) is the
@@ -84,9 +83,6 @@ val phase_sites : t -> phase list
 (** Every phase declared with {!make_phase}, in declaration (= id) order —
     the static phase table, for reports that map phase ids back to names. *)
 
-val phase_name_of_id : t -> int -> string option
-(** Look up a declared phase's name by id. *)
-
 val flush_phase : t -> phase -> unit
 (** Flush the accumulated communication schedule for [phase] (applications
     whose pattern changed with many deletions rebuild from scratch). *)
@@ -98,14 +94,13 @@ val barrier : t -> unit
 (** Global barrier; skew is charged to the Synch bucket. *)
 
 val parallel_for_1d :
-  t -> ?phase:phase -> ?task_us:float -> Aggregate.t -> (node:int -> i:int -> unit) -> unit
+  t -> ?phase:phase -> Aggregate.t -> (node:int -> i:int -> unit) -> unit
 (** Run one task per element of a 1-D aggregate on the element's owner,
     followed by an implicit barrier. *)
 
 val parallel_for_2d :
   t ->
   ?phase:phase ->
-  ?task_us:float ->
   Aggregate.t ->
   (node:int -> i:int -> j:int -> unit) ->
   unit

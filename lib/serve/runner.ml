@@ -3,7 +3,6 @@ module Proto_diff = Ccdsm_harness.Proto_diff
 module Machine = Ccdsm_tempest.Machine
 module Network = Ccdsm_tempest.Network
 module Timecap = Ccdsm_tempest.Timecap
-module Faults = Ccdsm_tempest.Faults
 module Timeline = Ccdsm_obs.Timeline
 module Runtime = Ccdsm_runtime.Runtime
 module Shared_heap = Ccdsm_runtime.Shared_heap
@@ -82,29 +81,20 @@ let prepare ?apps (spec : Job.spec) =
 
 (* -- per-server state ------------------------------------------------------- *)
 
-type slow_entry = {
-  s_key : string;
-  s_canonical : string;  (** the job's canonical spec (a JSON object) *)
-  s_run_ms : float;  (** the original (not re-run) wall-clock cost *)
-  s_wall_us : float;  (** simulated wall clock of the captured run *)
-  s_spans : int;
-  s_exact : bool;  (** the collector's residual check came back empty *)
-  s_timeline : string;  (** [Timeline.to_jsonl] of the captured run *)
-}
-
 let slow_ring_max = 8
 
 (* One server's state: the profile and grid tables behind [profiles_mutex],
    and the slow-job ring behind [slow_mutex].  [nprofiles] mirrors the
    profile table's size, so a metrics scrape reads it without waiting out a
-   collection that holds the mutex. *)
+   collection that holds the mutex.  The ring holds (key, entry) pairs,
+   newest first, each entry already rendered as its JSON object. *)
 type t = {
   profiles_mutex : Mutex.t;
   profiles : (string, Profile.t) Hashtbl.t;
   nprofiles : int Atomic.t;
   grids : (string, (int, string) Hashtbl.t) Hashtbl.t;
   slow_mutex : Mutex.t;
-  mutable slow_ring : slow_entry list;
+  mutable slow_ring : (string * string) list;
 }
 
 let create () =
@@ -252,50 +242,34 @@ let execute t = function
    attached and the result parked in a small newest-first ring, retrievable
    with a [{"kind":"timeline"}] job.  Predict jobs are microseconds warm and
    answer from a table — re-timing them would time the cache, so only sim
-   jobs are recorded. *)
-
-let slow_jobs t = Mutex.protect t.slow_mutex (fun () -> t.slow_ring)
+   jobs are recorded.  The run is built by the same [Proto_diff] setup the
+   served run used, and each entry is rendered once, here, so a query only
+   joins the rendered entries. *)
 
 let record_slow t ~key ~run_ms = function
   | Predict _ -> ()
   | Sim p ->
       let spec = p.spec in
-      let cfg = Machine.default_config ~num_nodes:spec.nodes ~block_bytes:spec.block_bytes () in
       let rt =
-        Runtime.create ~cfg ~migratory_threshold:spec.migratory_threshold ~sanitize:true
-          ~check_races:p.check_races ~protocol:p.protocol ()
+        Proto_diff.create_runtime ~nodes:spec.nodes ~block_bytes:spec.block_bytes
+          ~migratory_threshold:spec.migratory_threshold ~faults:spec.faults
+          ~check_races:p.check_races p.protocol
       in
-      let m = Runtime.machine rt in
-      (match spec.faults with
-      | None -> ()
-      | Some plan -> Machine.set_faults m (Some (Faults.create plan)));
-      let cap = Timecap.attach m in
+      let cap = Timecap.attach (Runtime.machine rt) in
       ignore (p.run_app rt);
       let tl = Timecap.finish cap in
+      let exact = Timecap.check cap = [] in
       let entry =
-        {
-          s_key = key;
-          s_canonical = Job.canonical spec;
-          s_run_ms = run_ms;
-          s_wall_us = Runtime.total_time rt;
-          s_spans = Timeline.nspans tl;
-          s_exact = Timecap.check cap = [];
-          s_timeline = Timeline.to_jsonl tl;
-        }
+        Printf.sprintf
+          "{\"exact\":%b,\"key\":\"%s\",\"run_ms\":%s,\"spans\":%d,\"spec\":%s,\"timeline\":%s,\"wall_us\":%s}"
+          exact key (Obs.float_to_string run_ms) (Timeline.nspans tl) (Job.canonical spec)
+          (Json.quote (Timeline.to_jsonl tl))
+          (Obs.float_to_string (Runtime.total_time rt))
       in
       Mutex.protect t.slow_mutex (fun () ->
-          let keep = List.filter (fun e -> e.s_key <> key) t.slow_ring in
-          t.slow_ring <-
-            entry :: (if List.length keep >= slow_ring_max then List.filteri (fun i _ -> i < slow_ring_max - 1) keep else keep))
+          let keep = List.filter (fun (k, _) -> k <> key) t.slow_ring in
+          t.slow_ring <- (key, entry) :: List.filteri (fun i _ -> i < slow_ring_max - 1) keep)
 
 let slow_jobs_json t =
-  let entry_json e =
-    Printf.sprintf
-      "{\"exact\":%b,\"key\":\"%s\",\"run_ms\":%s,\"spans\":%d,\"spec\":%s,\"timeline\":%s,\"wall_us\":%s}"
-      e.s_exact e.s_key
-      (Obs.float_to_string e.s_run_ms)
-      e.s_spans e.s_canonical
-      (Json.quote e.s_timeline)
-      (Obs.float_to_string e.s_wall_us)
-  in
-  Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," (List.map entry_json (slow_jobs t)))
+  let entries = Mutex.protect t.slow_mutex (fun () -> List.map snd t.slow_ring) in
+  Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," entries)

@@ -61,32 +61,22 @@ val profile_count : t -> int
     benefit of the slow few, so the daemon instead re-runs a job flagged by
     [--slow-ms] — the simulation is deterministic, so the re-run is the
     run — with the {!Ccdsm_tempest.Timecap} collector attached, and parks
-    the captured timeline in a bounded newest-first ring. *)
-
-type slow_entry = {
-  s_key : string;
-  s_canonical : string;  (** the job's canonical spec (a JSON object) *)
-  s_run_ms : float;  (** the original (not re-run) wall-clock cost *)
-  s_wall_us : float;  (** simulated wall clock of the captured run *)
-  s_spans : int;
-  s_exact : bool;  (** the collector's residual check came back empty *)
-  s_timeline : string;  (** {!Ccdsm_obs.Timeline.to_jsonl} of the captured run *)
-}
-
-val slow_ring_max : int
-(** Ring capacity (8): enough to hold the current outliers, bounded so a
-    pathological workload cannot grow daemon memory without limit. *)
+    the captured timeline in a bounded newest-first ring.  The re-run's
+    runtime is {!Ccdsm_harness.Proto_diff.create_runtime}, the one the
+    served run used. *)
 
 val record_slow : t -> key:string -> run_ms:float -> prepared -> unit
 (** Capture a timeline for a slow sim job (predict jobs are table lookups
-    and are ignored).  An entry with the same key is replaced; otherwise the
-    oldest entry is evicted at capacity. *)
-
-val slow_jobs : t -> slow_entry list
-(** Ring contents, newest first. *)
+    and are ignored) and render its ring entry.  An entry with the same key
+    is replaced; otherwise the oldest entry is evicted at the ring's
+    capacity of 8, which holds the current outliers and bounds daemon
+    memory. *)
 
 val slow_jobs_json : t -> string
 (** The [{"kind":"timeline"}] response payload:
-    [{"slow_jobs":[...]}] with per-entry sorted keys (exact, key, run_ms,
-    spans, spec, timeline, wall_us); the timeline is the JSONL text as one
-    escaped string, ready to save and feed to [repro timeline]. *)
+    [{"slow_jobs":[...]}], newest first, with per-entry sorted keys: exact
+    (the collector's residual check came back empty), key, run_ms (the
+    original, not re-run, wall-clock cost), spans, spec (the canonical
+    spec object), timeline and wall_us (the captured run's simulated wall
+    clock).  The timeline is the JSONL text as one escaped string, ready to
+    save and feed to [repro timeline]. *)

@@ -12,15 +12,12 @@ let bucket_name = function
 
 let bucket_index = function Compute -> 0 | Remote_wait -> 1 | Presend -> 2 | Synch -> 3
 
-type config = {
-  num_nodes : int;
-  block_bytes : int;
-  net : Network.t;
-  local_access_us : float;
-}
+type config = { num_nodes : int; block_bytes : int; net : Network.t }
 
 let default_config ?(num_nodes = 32) ?(block_bytes = 32) ?(net = Network.default) () =
-  { num_nodes; block_bytes; net; local_access_us = 0.05 }
+  { num_nodes; block_bytes; net }
+
+let local_access_us = 0.05
 
 type counters = {
   mutable local_reads : int;
@@ -132,7 +129,6 @@ type meters = {
 type t = {
   cfg : config;
   nnodes : int;  (* = cfg.num_nodes, here to keep the access fast path flat *)
-  local_us : float;  (* = cfg.local_access_us *)
   words_per_block : int;
   block_shift : int;  (* log2 words_per_block: block_of is a shift, not a division *)
   mutable tags : tag_table;  (* nnodes lsl cap_shift bytes *)
@@ -217,20 +213,8 @@ let emit t ev =
     (Array.unsafe_get hs i) ev
   done
 
-(* The hot-path hooks, inlined behind the [observed] test: a hook that no
-   observer implements costs a length test, not a call. *)
-let[@inline] touch t ~node ~addr ~write =
-  let hs = t.touches in
-  for i = 0 to Array.length hs - 1 do
-    (Array.unsafe_get hs i) ~node ~addr ~write
-  done
-
-let[@inline] accessed t ~node ~addr ~write ~faulted =
-  let hs = t.accesses in
-  for i = 0 to Array.length hs - 1 do
-    (Array.unsafe_get hs i) ~node ~addr ~write ~faulted
-  done
-
+(* Inlined behind the [observed] test: a hook that no observer implements
+   costs a length test, not a call. *)
 let[@inline] charged t ~node bucket ~us =
   let hs = t.charges in
   for i = 0 to Array.length hs - 1 do
@@ -290,7 +274,6 @@ let create cfg =
     {
       cfg;
       nnodes = cfg.num_nodes;
-      local_us = cfg.local_access_us;
       words_per_block;
       block_shift = log2 words_per_block;
       tags;
@@ -340,7 +323,6 @@ let install t h = t.handlers <- Some h
 
 let num_blocks t = t.nblocks
 let block_of t a = a asr t.block_shift
-let base_addr t b = b lsl t.block_shift
 
 let home t b =
   if b < 0 || b >= t.nblocks then invalid_arg "Machine.home: bad block";
@@ -591,15 +573,12 @@ let handlers_exn t =
   | Some h -> h
   | None -> failwith "Machine: access fault with no protocol installed"
 
-(* Cold path of the fused bounds check: re-run the precise tests so callers
-   see the same exceptions (and messages) as the word-at-a-time era. *)
+(* Cold path of the fused bounds check: re-run the precise tests, so a bad
+   node and a bad address raise their own messages. *)
 let bad_access t ~node a =
   check_node t node;
   check_block t (a asr t.block_shift);
   assert false
-
-let[@inline] check_access t ~node a =
-  if (node lor a) < 0 || node >= t.nnodes || a >= t.word_limit then bad_access t ~node a
 
 let read_fault t ~node b =
   ctr_add t node f_read_faults 1.0;
@@ -613,35 +592,39 @@ let write_fault t ~node b =
   (handlers_exn t).on_write_fault ~node b;
   assert (Tag.permits_write (Tag.of_char (A1.get t.tags ((node lsl t.cap_shift) lor b))))
 
-let[@inline] add_compute t node us =
-  let i = node lsl stat_shift in
-  A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. us)
-
 (* One access's bookkeeping: the count bump ([field] is [f_local_reads] or
-   [f_local_writes]) and the Compute charge, in one row of one table. *)
+   [f_local_writes]) and the Compute charge (slot 0), in one row of one
+   table. *)
 let[@inline] count_access t ~node field =
   ctr_add t node field 1.0;
-  add_compute t node t.local_us
+  let i = node lsl stat_shift in
+  A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. local_access_us)
 
-(* The tag test and the fault it may take; [true] if it faulted. *)
-let[@inline] fault_in t ~node a ~write =
+(* Every access but an unobserved hit, out of line: a bad node or address
+   (raises), an observed access, or one whose tag faults.  The touch hooks
+   run before the fault so a collector that snapshots counters when an
+   access opens a profile segment attributes the triggering fault to that
+   segment, not the gap before it.  A hook that no observer implements
+   costs a length test. *)
+let[@inline never] access_cold t ~node a ~write =
+  if (node lor a) < 0 || node >= t.nnodes || a >= t.word_limit then bad_access t ~node a;
+  if t.observed then begin
+    let hs = t.touches in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) ~node ~addr:a ~write
+    done
+  end;
   let b = a lsr t.block_shift in
   let tg = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor b) in
   let faulted = if write then tg <> tag_read_write_char else tg = tag_invalid_char in
   if faulted then if write then write_fault t ~node b else read_fault t ~node b;
-  faulted
-
-(* Every access but an unobserved hit, out of line: a bad node or address
-   (raises), an observed access, or one whose tag faults.  The touch hook
-   runs before the fault so a collector that snapshots counters when an
-   access opens a profile segment attributes the triggering fault to that
-   segment, not the gap before it. *)
-let[@inline never] access_cold t ~node a ~write =
-  check_access t ~node a;
-  if t.observed then touch t ~node ~addr:a ~write;
-  let faulted = fault_in t ~node a ~write in
   count_access t ~node (if write then f_local_writes else f_local_reads);
-  if t.observed then accessed t ~node ~addr:a ~write ~faulted
+  if t.observed then begin
+    let hs = t.accesses in
+    for i = 0 to Array.length hs - 1 do
+      (Array.unsafe_get hs i) ~node ~addr:a ~write ~faulted
+    done
+  end
 
 (* An in-range, unobserved access whose tag permits it. *)
 let[@inline] hit t ~node a ~write =
@@ -665,91 +648,3 @@ let[@inline] write t ~node a v =
   if hit t ~node a ~write:true then count_access t ~node f_local_writes
   else access_cold t ~node a ~write:true;
   A1.unsafe_set t.mem a v
-
-(* -- batched data path --------------------------------------------------- *)
-
-(* Observationally identical to a word-at-a-time loop (values, counters,
-   bucket times, observer calls — the qcheck suite pins this), but the tag
-   is validated once per block rather than once per word, and when
-   unobserved the per-word hook branch disappears. *)
-
-(* The observed halves of a block span [pos, stop): the touches before its
-   fault, then each word's Compute charge and access hooks.  Out of line, so
-   the unobserved range loop carries no hook code. *)
-let[@inline never] touch_span t ~node a ~pos ~stop ~write =
-  for k = pos to stop - 1 do
-    touch t ~node ~addr:(a + k) ~write
-  done
-
-let[@inline never] access_span t ~node a ~pos ~stop ~write ~faulted =
-  for k = pos to stop - 1 do
-    add_compute t node t.local_us;
-    accessed t ~node ~addr:(a + k) ~write ~faulted:(faulted && k = pos)
-  done
-
-let read_range t ~node a dst =
-  let n = Array.length dst in
-  if n > 0 then begin
-    check_access t ~node a;
-    check_access t ~node (a + n - 1);
-    let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
-    let pos = ref 0 in
-    while !pos < n do
-      let w = a + !pos in
-      let b = w lsr t.block_shift in
-      (* words of this block remaining in the range *)
-      let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
-      if t.observed then touch_span t ~node a ~pos:!pos ~stop ~write:false;
-      let faulted = fault_in t ~node w ~write:false in
-      ctr_add t node f_local_reads (float_of_int (stop - !pos));
-      (* Word-at-a-time, only the word that trips the fault reports
-         [faulted]; later words of the block see the now-valid tag. *)
-      if t.observed then access_span t ~node a ~pos:!pos ~stop ~write:false ~faulted
-      else begin
-        (* Unobserved (nobody can see mid-span state): accumulate the
-           word-at-a-time charges in a local — the same left-associated
-           additions, so bit-identical — and land them with one table
-           write per block span. *)
-        let acc = ref (A1.unsafe_get times ti) in
-        for _ = !pos to stop - 1 do
-          acc := !acc +. us
-        done;
-        A1.unsafe_set times ti !acc
-      end;
-      let mem = t.mem in
-      for k = !pos to stop - 1 do
-        Array.unsafe_set dst k (A1.unsafe_get mem (a + k))
-      done;
-      pos := stop
-    done
-  end
-
-let write_range t ~node a src =
-  let n = Array.length src in
-  if n > 0 then begin
-    check_access t ~node a;
-    check_access t ~node (a + n - 1);
-    let times = t.stats and ti = node lsl stat_shift and us = t.local_us in
-    let pos = ref 0 in
-    while !pos < n do
-      let w = a + !pos in
-      let b = w lsr t.block_shift in
-      let stop = min n (!pos + (((b + 1) lsl t.block_shift) - w)) in
-      if t.observed then touch_span t ~node a ~pos:!pos ~stop ~write:true;
-      let faulted = fault_in t ~node w ~write:true in
-      ctr_add t node f_local_writes (float_of_int (stop - !pos));
-      if t.observed then access_span t ~node a ~pos:!pos ~stop ~write:true ~faulted
-      else begin
-        let acc = ref (A1.unsafe_get times ti) in
-        for _ = !pos to stop - 1 do
-          acc := !acc +. us
-        done;
-        A1.unsafe_set times ti !acc
-      end;
-      let mem = t.mem in
-      for k = !pos to stop - 1 do
-        A1.unsafe_set mem (a + k) (Array.unsafe_get src k)
-      done;
-      pos := stop
-    done
-  end

@@ -37,11 +37,13 @@ type config = {
   num_nodes : int;
   block_bytes : int;  (** power of two, >= 8 *)
   net : Network.t;
-  local_access_us : float;  (** compute charge per tag-permitted shared access *)
 }
 
 val default_config : ?num_nodes:int -> ?block_bytes:int -> ?net:Network.t -> unit -> config
 (** 32 nodes, 32-byte blocks and {!Network.default} unless overridden. *)
+
+val local_access_us : float
+(** The Compute charge of one tag-permitted shared access (0.05 µs). *)
 
 type counters = {
   mutable local_reads : int;
@@ -101,14 +103,14 @@ type observer = {
       (** Every published event except completed accesses, which arrive
           through [on_access] only. *)
   on_touch : (node:int -> addr:addr -> write:bool -> unit) option;
-      (** Every data access ({!read}, {!write}, each word of a range),
-          before its fault, if any, is serviced. *)
+      (** Every data access ({!read} or {!write}), before its fault, if
+          any, is serviced. *)
   on_access : (node:int -> addr:addr -> write:bool -> faulted:bool -> unit) option;
       (** Every completed data access, after its fault and its Compute
-          charge; [faulted] marks the word that tripped a fault. *)
+          charge; [faulted] marks an access that tripped a fault. *)
   on_charge : (node:int -> bucket -> us:float -> unit) option;
       (** Every {!charge}, before the stats-table add.  Replaying these
-          additions and each access's [local_access_us] in arrival order
+          additions and each access's {!local_access_us} in arrival order
           reproduces the stats table bit for bit. *)
   on_alloc : (words:int -> home:int -> unit) option;  (** After each {!alloc}. *)
   on_heap_alloc : (node:int -> words:int -> spilled:bool -> unit) option;
@@ -162,7 +164,6 @@ val alloc : t -> words:int -> home:int -> addr
 
 val num_blocks : t -> int
 val block_of : t -> addr -> block
-val base_addr : t -> block -> addr
 val home : t -> block -> int
 
 (** {1 Tags (protocol-side)} *)
@@ -170,7 +171,10 @@ val home : t -> block -> int
 val tag : t -> node:int -> block -> Tag.t
 val set_tag : t -> node:int -> block -> Tag.t -> unit
 
-(** {1 Application data path} *)
+(** {1 Application data path}
+
+    An application touches shared memory one word at a time, through
+    {!read} and {!write}. *)
 
 val read : t -> node:int -> addr -> float
 (** [read t ~node a] is the word at [a] as [node] sees it.  The unobserved
@@ -188,19 +192,6 @@ val write : t -> node:int -> addr -> float -> unit
 (** [write t ~node a v] stores [v] at [a] from [node]: the dual of {!read},
     inlined the same way, so a computed value is stored without being
     boxed first. *)
-
-val read_range : t -> node:int -> addr -> float array -> unit
-(** [read_range t ~node a dst] reads [Array.length dst] consecutive words
-    starting at [a] into [dst].  Observationally identical to a word-at-a-time
-    {!read} loop — same values, counters, bucket charges, events and
-    [on_access] calls (a block's [on_touch] calls all precede its fault) —
-    but the tag is validated once per cache block instead of once per word,
-    and the data moves with a blit.  The whole range is bounds
-    checked up front, so an out-of-range tail raises before any access. *)
-
-val write_range : t -> node:int -> addr -> float array -> unit
-(** [write_range t ~node a src] writes the words of [src] starting at [a];
-    the batched dual of {!read_range}, equivalent to a {!write} loop. *)
 
 (** {1 Protocol data path (no tags, no cost)} *)
 

@@ -5,7 +5,6 @@ type t = {
   tl : Timeline.t;
   net : Network.t;
   nnodes : int;
-  local_us : float;  (* the Compute charge of one access *)
   mutable detach : unit -> unit;
   (* one coherence interaction is in flight at a time (the simulator is
      sequential), but presend planning hops across home nodes, so chains are
@@ -60,7 +59,7 @@ let seal t ~label ~t1 =
 (* A completed access: its Compute charge, then, for the first hit on a
    presend-granted block, an "avoided" marker under the grant. *)
 let on_access t ~node ~addr ~faulted =
-  Timeline.add_charge t.tl ~node ~bucket:0 ~us:t.local_us;
+  Timeline.add_charge t.tl ~node ~bucket:0 ~us:Machine.local_access_us;
   t.since_seal <- true;
   (* the node is computing again: its demand chain is complete *)
   close_chain t node;
@@ -245,7 +244,6 @@ let attach m =
       tl = Timeline.create ~nodes:nnodes ~buckets:bucket_names ~kinds:kind_names;
       net = Machine.net m;
       nnodes;
-      local_us = (Machine.config m).Machine.local_access_us;
       detach = ignore;
       chain_id = Array.make nnodes (-1);
       chain_end = Array.make nnodes 0.0;

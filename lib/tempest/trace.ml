@@ -207,9 +207,9 @@ let global_sink : (event -> unit) option ref = ref None
 let set_global s = global_sink := s
 let global () = !global_sink
 
-let jsonl_sink ?(accesses = false) oc ev =
+let jsonl_sink oc ev =
   match ev with
-  | Access _ when not accesses -> ()
+  | Access _ -> ()
   | _ ->
       output_string oc (to_json ev);
       output_char oc '\n'

@@ -96,7 +96,7 @@ val pp : Format.formatter -> event -> unit
 val set_global : (event -> unit) option -> unit
 val global : unit -> (event -> unit) option
 
-val jsonl_sink : ?accesses:bool -> out_channel -> event -> unit
-(** A sink writing one JSON object per line.  [accesses] (default [false])
-    controls whether (voluminous, non-faulting) {!Access} events are
-    written; faults, messages and tag transitions always are. *)
+val jsonl_sink : out_channel -> event -> unit
+(** A sink writing one JSON object per line, every event but the
+    (voluminous) {!Access} ones; faults, messages and tag transitions are
+    all written. *)

@@ -30,8 +30,6 @@ let clear t i =
   let b = i lsr 3 in
   Bytes.set t.words b (Char.chr (Char.code (Bytes.get t.words b) land lnot (1 lsl (i land 7)) land 0xff))
 
-let assign t i v = if v then set t i else clear t i
-
 let is_empty t =
   let n = Bytes.length t.words in
   let rec go i = i >= n || (Bytes.get t.words i = '\000' && go (i + 1)) in
@@ -88,11 +86,6 @@ let fill t v =
       Bytes.set t.words b (Char.chr (Char.code (Bytes.get t.words b) land lnot (1 lsl (i land 7)) land 0xff))
     done
   end
-
-let iter_set t f =
-  for i = 0 to t.width - 1 do
-    if get t i then f i
-  done
 
 let to_list t =
   let acc = ref [] in

@@ -16,7 +16,6 @@ val copy : t -> t
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
-val assign : t -> int -> bool -> unit
 
 val is_empty : t -> bool
 val count : t -> int
@@ -35,9 +34,6 @@ val diff_into : dst:t -> t -> bool
 val blit : src:t -> dst:t -> unit
 
 val fill : t -> bool -> unit
-
-val iter_set : t -> (int -> unit) -> unit
-(** Apply a function to the index of every set bit, in increasing order. *)
 
 val to_list : t -> int list
 (** Indices of set bits in increasing order. *)

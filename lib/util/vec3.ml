@@ -8,7 +8,6 @@ let scale s a = { x = s *. a.x; y = s *. a.y; z = s *. a.z }
 let neg a = scale (-1.0) a
 let dot a b = (a.x *. b.x) +. (a.y *. b.y) +. (a.z *. b.z)
 let norm2 a = dot a a
-let norm a = sqrt (norm2 a)
 let dist2 a b = norm2 (sub a b)
 let dist a b = sqrt (dist2 a b)
 let axpy a x y = add (scale a x) y

@@ -12,7 +12,6 @@ val dot : t -> t -> float
 val norm2 : t -> float
 (** Squared Euclidean norm. *)
 
-val norm : t -> float
 val dist2 : t -> t -> float
 val dist : t -> t -> float
 val axpy : float -> t -> t -> t

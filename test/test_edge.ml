@@ -168,10 +168,11 @@ let test_barrier_cost_charged_once_per_phase () =
   in
   let m = Runtime.machine rt in
   let a = Aggregate.create_1d m ~name:"x" ~n:4 ~dist:Distribution.Block1d () in
-  Runtime.parallel_for_1d rt ~task_us:0.0 a (fun ~node:_ ~i:_ -> ());
+  Runtime.parallel_for_1d rt a (fun ~node:_ ~i:_ -> ());
   let bar = Network.barrier_cost (Machine.net m) ~nodes:4 in
-  (* Only local accesses: total time = access-free compute + one barrier. *)
-  check (Alcotest.float 1e-9) "one barrier" bar (Runtime.total_time rt)
+  (* One access-free task per node: total time = its 1 µs charge + one
+     barrier. *)
+  check (Alcotest.float 1e-9) "one task and one barrier" (1.0 +. bar) (Runtime.total_time rt)
 
 let suite =
   [

@@ -1,15 +1,14 @@
 (* Tests for the simulator fast path and the multicore experiment driver.
 
-   The fast-path rewrites (fused bounds checks, batched range accessors,
-   table-driven aggregate addressing, domain fan-out) all promise the same
-   thing: *observational identity* — same values, same counters, same bucket
-   times (bit-for-bit), same emitted trace events.  These tests pin that
-   promise, plus the byte encoding of tags that the hot path now compares
-   directly as chars. *)
+   The fast-path rewrites (the inlined unobserved hit, table-driven
+   aggregate addressing, domain fan-out) all promise the same thing:
+   *observational identity* — same values, same counters, same bucket times
+   (bit-for-bit).  These tests pin that promise, its allocation budgets,
+   and the byte encoding of tags that the hot path compares directly as
+   chars. *)
 
 module Machine = Ccdsm_tempest.Machine
 module Tag = Ccdsm_tempest.Tag
-module Trace = Ccdsm_tempest.Trace
 module Engine = Ccdsm_proto.Engine
 module Sanitizer = Ccdsm_proto.Sanitizer
 module Timecap = Ccdsm_tempest.Timecap
@@ -51,8 +50,8 @@ let counters_equal c1 c2 =
   && c1.invalidations = c2.invalidations
   && c1.downgrades = c2.downgrades
 
-(* Bucket times must agree *exactly*: the batched paths are required to
-   reproduce the word-at-a-time float accumulation bit for bit. *)
+(* Bucket times must agree *exactly*: the inlined hit must reproduce the
+   out-of-line path's float accumulation bit for bit. *)
 let machines_equal ~nodes ~words ~a1 ~a2 m1 m2 =
   let ok = ref true in
   for node = 0 to nodes - 1 do
@@ -70,68 +69,6 @@ let machines_equal ~nodes ~words ~a1 ~a2 m1 m2 =
     if Machine.peek m1 (a1 + i) <> Machine.peek m2 (a2 + i) then ok := false
   done;
   !ok
-
-(* -- read_range/write_range == word-at-a-time loops -------------------------- *)
-
-(* Four nodes, 64 words spread over four 16-word allocations homed at nodes
-   0..3, stache protocol, a JSON-recording subscriber on each machine (which
-   also exercises the [observed] flag on the batched path). *)
-let mk_traced_machine () =
-  let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
-  ignore (Engine.stache m);
-  let a0 = Machine.alloc m ~words:16 ~home:0 in
-  for h = 1 to 3 do
-    ignore (Machine.alloc m ~words:16 ~home:h)
-  done;
-  for i = 0 to 63 do
-    Machine.poke m (a0 + i) (float_of_int (i * i) *. 0.125)
-  done;
-  let evs = ref [] in
-  Machine.subscribe m (fun e -> evs := Trace.to_json e :: !evs);
-  (m, a0, evs)
-
-let test_range_equivalence =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:150 ~name:"read_range/write_range = word loops"
-       QCheck2.Gen.(
-         let* warm = list_size (0 -- 20) (triple (0 -- 3) (0 -- 63) bool) in
-         let* node = 0 -- 3 in
-         let* start = 0 -- 63 in
-         let* len = 0 -- (64 - start) in
-         let* write = bool in
-         let+ vals = list_size (return len) (map float_of_int (0 -- 1000)) in
-         (warm, node, start, Array.of_list vals, write))
-       (fun (warm, node, start, vals, write) ->
-         let m1, a1, ev1 = mk_traced_machine () in
-         let m2, a2, ev2 = mk_traced_machine () in
-         (* Identical word-granular warm-up on both machines: puts the two
-            tag states into the same arbitrary mid-run configuration. *)
-         List.iter
-           (fun (n, i, w) ->
-             if w then (
-               Machine.write m1 ~node:n (a1 + i) 2.5;
-               Machine.write m2 ~node:n (a2 + i) 2.5)
-             else (
-               ignore (Machine.read m1 ~node:n (a1 + i));
-               ignore (Machine.read m2 ~node:n (a2 + i))))
-           warm;
-         let len = Array.length vals in
-         (* Probe: word loop on m1, one batched call on m2. *)
-         (if write then (
-            Array.iteri (fun k v -> Machine.write m1 ~node (a1 + start + k) v) vals;
-            Machine.write_range m2 ~node (a2 + start) vals)
-          else
-            let r1 = Array.init len (fun k -> Machine.read m1 ~node (a1 + start + k)) in
-            let r2 = Array.make len 0.0 in
-            Machine.read_range m2 ~node (a2 + start) r2;
-            if r1 <> r2 then QCheck2.Test.fail_report "returned values differ");
-         if not (machines_equal ~nodes:4 ~words:64 ~a1 ~a2 m1 m2) then
-           QCheck2.Test.fail_report "counters/bucket times/memory differ";
-         if List.rev !ev1 <> List.rev !ev2 then
-           QCheck2.Test.fail_reportf "trace events differ:@.%s@.vs@.%s"
-             (String.concat "\n" (List.rev !ev1))
-             (String.concat "\n" (List.rev !ev2));
-         true))
 
 (* -- the inlined access path = the out-of-line one ---------------------------- *)
 
@@ -249,56 +186,6 @@ let test_aggregate_tables () =
       (6, 9, 10, 3, Distribution.Tiled { pr = 2; pc = 3 });
     ]
 
-(* Batched element accessors against the field-at-a-time loops, through two
-   identical machine+aggregate pairs. *)
-let test_elem_accessors () =
-  let mk () =
-    let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
-    ignore (Engine.stache m);
-    let agg =
-      Aggregate.create_2d m ~name:"mesh" ~elem_words:3 ~rows:8 ~cols:8
-        ~dist:Distribution.Row_block ()
-    in
-    for i = 0 to 7 do
-      for j = 0 to 7 do
-        for f = 0 to 2 do
-          Aggregate.poke2 agg i j ~field:f (float_of_int (((i * 8) + j) * 3 + f))
-        done
-      done
-    done;
-    (m, agg)
-  in
-  let m1, g1 = mk () and m2, g2 = mk () in
-  let probes = [ (0, 1, 2); (1, 7, 0); (2, 3, 3); (3, 0, 1) ] in
-  List.iter
-    (fun (node, i, j) ->
-      let buf1 = Array.init 3 (fun f -> Aggregate.read2 g1 ~node i j ~field:f) in
-      let buf2 = Array.make 3 0.0 in
-      Aggregate.read_elem2 g2 ~node i j buf2;
-      check Alcotest.(array (float 0.0)) "element values" buf1 buf2;
-      let upd = Array.map (fun v -> v +. 100.0) buf1 in
-      Array.iteri (fun f v -> Aggregate.write2 g1 ~node i j ~field:f v) upd;
-      Aggregate.write_elem2 g2 ~node i j upd)
-    probes;
-  Alcotest.(check bool) "counters and bucket times identical" true
-    (let ok = ref true in
-     for node = 0 to 3 do
-       if not (counters_equal (Machine.counters m1 ~node) (Machine.counters m2 ~node)) then
-         ok := false;
-       List.iter
-         (fun b ->
-           if Machine.bucket_time m1 ~node b <> Machine.bucket_time m2 ~node b then ok := false)
-         Machine.all_buckets
-     done;
-     for i = 0 to 7 do
-       for j = 0 to 7 do
-         for f = 0 to 2 do
-           if Aggregate.peek2 g1 i j ~field:f <> Aggregate.peek2 g2 i j ~field:f then ok := false
-         done
-       done
-     done;
-     !ok)
-
 (* -- multicore driver determinism -------------------------------------------- *)
 
 let test_parjobs_order () =
@@ -322,9 +209,9 @@ let test_parjobs_error () =
 
 (* The sanitizer takes completed accesses through the machine's typed hook
    and keeps them unboxed in its history ring, so a sanitized hit allocates
-   exactly what an unobserved one does: the boxed float [read] returns, and
-   nothing for a write or a range.  Each loop runs once first, so the
-   sanitizer's tables have grown before the count. *)
+   exactly what an unobserved one does: the box [Sys.opaque_identity] puts
+   on a read's float, and nothing for a write.  Each loop runs once first,
+   so the sanitizer's tables have grown before the count. *)
 let test_sanitized_alloc () =
   let machine ~sanitized =
     let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
@@ -332,7 +219,6 @@ let test_sanitized_alloc () =
     if sanitized then ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
     (m, Machine.alloc m ~words:512 ~home:0)
   in
-  let dst = Array.make 64 0.0 in
   let loops =
     [
       ( "10,000 read hits",
@@ -344,11 +230,6 @@ let test_sanitized_alloc () =
         fun m a ->
           for i = 0 to 9_999 do
             Machine.write m ~node:0 (a + (i land 511)) 1.0
-          done );
-      ( "100 64-word read_ranges",
-        fun m a ->
-          for i = 0 to 99 do
-            Machine.read_range m ~node:0 (a + ((i land 7) * 64)) dst
           done );
     ]
   in
@@ -436,10 +317,8 @@ let suite =
     ( "fastpath",
       [
         Alcotest.test_case "tag byte encoding pinned" `Quick test_tag_bytes;
-        test_range_equivalence;
         test_inlined_equals_observed;
         Alcotest.test_case "aggregate address tables" `Quick test_aggregate_tables;
-        Alcotest.test_case "batched element accessors" `Quick test_elem_accessors;
         Alcotest.test_case "parjobs preserves order" `Quick test_parjobs_order;
         Alcotest.test_case "parjobs deterministic error" `Quick test_parjobs_error;
         Alcotest.test_case "sanitized accesses allocate nothing extra" `Quick

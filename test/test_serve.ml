@@ -282,21 +282,22 @@ let test_runner_matches_direct_run () =
   in
   check Alcotest.string "byte-identical to a direct harness run" direct served
 
+(* The jacobi of the predictor's validation set, as a served app. *)
+let jacobi_run rt =
+  let jacobi =
+    List.find
+      (fun a -> a.Ccdsm_harness.Predict_check.app_name = "jacobi")
+      (Ccdsm_harness.Predict_check.apps ())
+  in
+  jacobi.Ccdsm_harness.Predict_check.app_run rt;
+  0.0
+
 (* The served predict path at every block size [Job] admits, on the 4-node
    jacobi of the predictor's validation set (its predictive replays grant
    presends): each answer equals the model evaluated on a profile collected
    the way the runner collects one (stache, 32-byte blocks), and the
    fourteen jobs share that one profile. *)
 let test_runner_predict_matches_model () =
-  let jacobi =
-    List.find
-      (fun a -> a.Ccdsm_harness.Predict_check.app_name = "jacobi")
-      (Ccdsm_harness.Predict_check.apps ())
-  in
-  let run rt =
-    jacobi.Ccdsm_harness.Predict_check.app_run rt;
-    0.0
-  in
   let job block_bytes =
     Job.parse
       (Printf.sprintf
@@ -313,7 +314,7 @@ let test_runner_predict_matches_model () =
     Profile.collect ~app:"jacobi" ~protocol:"stache"
       ~arena_blocks:(Shared_heap.arena_blocks (Runtime.heap rt))
       (Runtime.machine rt)
-      (fun () -> run rt)
+      (fun () -> jacobi_run rt)
   in
   let protocol = Model.Predictive { coalesce = true; conflict_action = `Ignore } in
   let pr =
@@ -326,7 +327,7 @@ let test_runner_predict_matches_model () =
       let served =
         match
           Result.bind (job block_bytes) (fun r ->
-              Runner.prepare ~apps:[ ("jacobi", true, run) ] r.Job.spec)
+              Runner.prepare ~apps:[ ("jacobi", true, jacobi_run) ] r.Job.spec)
         with
         | Ok p -> Runner.execute runner p
         | Error msg -> Alcotest.fail msg
@@ -346,6 +347,48 @@ let test_runner_predict_matches_model () =
       check Alcotest.int (label "presends") want.Model.presends (field "presends"))
     (List.init 14 (fun i -> 8 lsl i));
   check Alcotest.int "one profile collected" 1 (Runner.profile_count runner)
+
+(* The slow-job capture re-runs the served configuration: on one runner, a
+   clean and a faulted spec each leave a ring entry whose simulated wall
+   clock is the served result's [total_us], string for string. *)
+let test_runner_capture_matches_served () =
+  let runner = Runner.create () in
+  (* The literal text of the first number member [key] at or after [from]. *)
+  let number_text json ~from key =
+    let tail = String.sub json from (String.length json - from) in
+    match index_of tail (Printf.sprintf "\"%s\":" key) with
+    | None -> Alcotest.failf "no %S" key
+    | Some i ->
+        let start = i + String.length key + 3 in
+        let rec stop j = if tail.[j] = ',' || tail.[j] = '}' then j else stop (j + 1) in
+        String.sub tail start (stop start - start)
+  in
+  let served =
+    List.map
+      (fun (key, line) ->
+        let { Job.spec; _ } = parse_ok line in
+        let p =
+          match Runner.prepare ~apps:[ ("jacobi", true, jacobi_run) ] spec with
+          | Ok p -> p
+          | Error msg -> Alcotest.fail msg
+        in
+        let result = Runner.execute runner p in
+        Runner.record_slow runner ~key ~run_ms:1.0 p;
+        (key, number_text result ~from:0 "total_us"))
+      [
+        ("clean", {|{"app":"jacobi","protocol":"stache","nodes":8}|});
+        ("faulted", {|{"app":"jacobi","protocol":"stache","nodes":8,"faults":"drop=0.05,seed=3"}|});
+      ]
+  in
+  let ring = Runner.slow_jobs_json runner in
+  List.iter
+    (fun (key, total_us) ->
+      match index_of ring (Printf.sprintf "\"key\":\"%s\"" key) with
+      | None -> Alcotest.failf "no %s entry" key
+      | Some i -> check Alcotest.string (key ^ " wall_us") total_us (number_text ring ~from:i "wall_us"))
+    served;
+  check Alcotest.bool "the fault plan moves the result" true
+    (List.assoc "clean" served <> List.assoc "faulted" served)
 
 (* -- Server end-to-end ----------------------------------------------------- *)
 
@@ -917,6 +960,8 @@ let suite =
         Alcotest.test_case "runner matches direct run" `Quick test_runner_matches_direct_run;
         Alcotest.test_case "runner predict matches the model" `Quick
           test_runner_predict_matches_model;
+        Alcotest.test_case "runner capture re-runs the served spec" `Quick
+          test_runner_capture_matches_served;
         Alcotest.test_case "serve miss then hit" `Quick test_serve_miss_then_hit;
         Alcotest.test_case "serve concurrent dedup" `Quick test_serve_concurrent_dedup;
         Alcotest.test_case "serve structured errors" `Quick test_serve_structured_errors;

@@ -51,7 +51,7 @@ let run_jacobi rt =
   u
 
 (* Canonical trace: every event except per-access ones, one JSON line each
-   (the same canonicalization [Trace.jsonl_sink] applies by default). *)
+   (the same canonicalization [Trace.jsonl_sink] applies). *)
 (* The Init event goes only to the process-global sink, so a per-machine
    subscription starts at the first alloc; write the header ourselves to
    keep the goldens self-describing (the replay oracle needs it to size its
