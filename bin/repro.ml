@@ -21,7 +21,6 @@ module Rmodel = Ccdsm_rdist.Model
 module PC = Ccdsm_harness.Predict_check
 module L = Ccdsm_harness.Latency
 module Timeline = Ccdsm_obs.Timeline
-module Json = Ccdsm_util.Json
 
 let scale full = if full then E.Paper else E.scale_of_env ()
 
@@ -147,10 +146,13 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run up to $(docv) independent simulated versions concurrently on \
-           OCaml domains (default: $(b,CCDSM_JOBS) or the available cores; \
-           output is byte-identical at any job count).  Forced to 1 while \
-           $(b,--trace) or $(b,--metrics) is active.")
+          "Compute on $(docv) OCaml domains, the calling domain included: \
+           up to $(docv) independent simulated versions run at once \
+           (default: $(b,CCDSM_JOBS) or the available cores; output is \
+           byte-identical at any job count).  Forced to 1 while \
+           $(b,--trace) or $(b,--metrics) is active.  For $(b,serve), the \
+           number of worker domains in its pool (default: the available \
+           cores).")
 
 (* Every command validates --jobs through the shared cap at argument-
    evaluation time. *)
@@ -706,9 +708,9 @@ let run_submit socket tcp file =
        let line = input_line ic in
        print_endline line;
        (* A daemon-side non-ok status fails the client, so scripts can gate
-          on the exit code without parsing JSON. *)
-       let status = Result.bind (Json.parse line) Json.(field "status" string) in
-       if status <> Ok "ok" then failed := true
+          on the exit code without parsing JSON.  Only the status is read: a
+          timeline reply runs to tens of megabytes. *)
+       if Ccdsm_serve.Server.reply_status line <> Some "ok" then failed := true
      done
    with End_of_file ->
      Printf.eprintf "repro submit: connection closed before all responses arrived\n";

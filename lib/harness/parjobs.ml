@@ -2,11 +2,12 @@
 
    Every simulated version owns a private [Machine] (created inside
    [Measure.measure]), so distinct versions share no mutable state and can
-   run on OCaml 5 domains.  Since the serving refactor the domains come from
-   [Pool] — the persistent work-stealing pool — on which [map] is plain
-   fan-out-and-join: submit in input order, await in input order, so
-   scheduling affects only which domain computes a job, never its value or
-   the assembled order.
+   run on OCaml 5 domains.  [map ~jobs] computes on [jobs] domains, the
+   caller included: a caller that only waited would be one domain more than
+   the computing ones, and every stop-the-world collection waits on all
+   domains.  Results are read in input order after the join, so scheduling
+   affects only which domain computes a job, never its value, the
+   assembled order, or which failure is re-raised.
 
    The process-global state in a simulation's path is the global trace sink
    ([Trace.set_global]) and the global metrics registry ([Obs.set_global]):
@@ -53,4 +54,24 @@ let map ?jobs f xs =
     else jobs
   in
   if jobs <= 1 then List.map f xs
-  else Pool.with_pool ~domains:jobs (fun pool -> Pool.map pool f xs)
+  else begin
+    (* The caller and [jobs - 1] helpers take indices from one counter; each
+       slot is written by the domain that took its index, and the joins
+       publish the writes to the caller. *)
+    let inputs = Array.of_list xs and slots = Array.make n None and next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        slots.(i) <- Some (try Ok (f inputs.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join helpers;
+    (* In input order: the first failure by input order is re-raised. *)
+    List.map
+      (fun slot ->
+        match Option.get slot with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      (Array.to_list slots)
+  end

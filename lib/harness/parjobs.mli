@@ -1,11 +1,13 @@
 (** Deterministic multicore fan-out for independent experiment versions.
 
     [map ?jobs f xs] applies [f] to every element of [xs] on up to [jobs]
-    OCaml domains (default {!default_jobs}) — a transient {!Pool} — and
-    returns the results in input order, re-raising the first (by input
-    order) exception if any call failed.  Each call of [f] must be
-    self-contained: the experiment drivers qualify because every simulated
-    version builds its own private machine.
+    OCaml domains (default {!default_jobs}), the calling domain included:
+    it spawns [jobs - 1] helper domains and computes alongside them.  The
+    results come back in input order; if any call failed, the first failure
+    by input order is re-raised, with its worker backtrace, once every call
+    has finished.  Each call of [f] must be self-contained: the experiment
+    drivers qualify because every simulated version builds its own private
+    machine.
 
     Falls back to a plain sequential [List.map] when [jobs <= 1], when there
     is at most one element, or when a process-global trace sink

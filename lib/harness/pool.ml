@@ -1,23 +1,23 @@
-(* A persistent work-stealing pool of OCaml 5 domains.
+(* A persistent pool of OCaml 5 domains serving one shared job queue.
 
-   A long-lived pool rather than a fan-out-and-join that spawns domains per
-   call: workers are spawned once, steal work items from a shared deque, and
-   survive across submissions — the shape a serving process needs to keep
-   the machine hot between requests.
+   Workers are spawned once, take jobs from the queue, and survive across
+   submissions until [shutdown] — the shape a serving process needs to keep
+   the machine hot between requests.  Fan-out-and-join over a fixed input
+   list is [Parjobs.map]'s, which computes on the calling domain too and so
+   needs no pool.
 
    Determinism contract: which worker runs a job never affects its value,
-   only its wall-clock.  Results are collected through per-job tickets, so
-   callers that await tickets in submission order observe exactly the
-   fan-out-and-join semantics; callers that want completion order (the
-   serving layer) let each job publish its own result.
+   only its wall-clock.  Each job's outcome is delivered through its own
+   ticket; callers that want completion order (the serving layer) let each
+   job publish its own result.
 
    Every job's outcome is captured — value, or exception with its raw
    backtrace from the worker domain — so a poisonous job can never take a
    worker (or the pool) down, and [await_exn] re-raises at the caller with
    the worker-side raise site intact. *)
 
-(* The deque holds [unit -> unit] thunks: each job computes and stores its
-   own result through its ticket, so the deque stays monomorphic while
+(* The queue holds [unit -> unit] thunks: each job computes and stores its
+   own result through its ticket, so the queue stays monomorphic while
    tickets are polymorphic. *)
 type t = {
   mutex : Mutex.t;
@@ -34,12 +34,6 @@ type 'a ticket = {
 }
 
 let size t = Array.length t.workers
-
-let pending t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.work in
-  Mutex.unlock t.mutex;
-  n
 
 let worker pool () =
   let rec loop () =
@@ -115,15 +109,6 @@ let await_exn ticket =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let map pool f xs =
-  (* Fan-out-and-join on the persistent pool: submit in input order, await in
-     input order.  The first failure *by input order* is re-raised (with its
-     worker backtrace) after every ticket resolved, so the surfaced error is
-     scheduling-independent — the contract Parjobs has always had. *)
-  let tickets = List.map (fun x -> submit pool (fun () -> f x)) xs in
-  let results = List.map await tickets in
-  List.map (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt) results
-
 let shutdown pool =
   Mutex.lock pool.mutex;
   let already = pool.stopping in
@@ -131,7 +116,3 @@ let shutdown pool =
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.mutex;
   if not already then Array.iter Domain.join pool.workers
-
-let with_pool ?domains f =
-  let pool = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

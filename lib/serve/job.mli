@@ -25,7 +25,7 @@ type spec = {
           Predict keys live in their own ["predict:"] cache namespace.
           ["timeline"] takes no simulation parameters (only [id]) and
           returns the daemon's bounded ring of slow-job span timelines
-          ({!Runner.slow_jobs_json}); it queries server state, so it is
+          ({!Runner.slow_jobs}); it queries server state, so it is
           answered inline and never cached. *)
   app : string;  (** application name, matched case-insensitively *)
   protocol : string;  (** a {!Ccdsm_proto.Registry} name *)

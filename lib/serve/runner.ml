@@ -244,7 +244,7 @@ let execute t = function
    answer from a table — re-timing them would time the cache, so only sim
    jobs are recorded.  The run is built by the same [Proto_diff] setup the
    served run used, and each entry is rendered once, here, so a query only
-   joins the rendered entries. *)
+   writes out the rendered entries. *)
 
 let record_slow t ~key ~run_ms = function
   | Predict _ -> ()
@@ -270,6 +270,4 @@ let record_slow t ~key ~run_ms = function
           let keep = List.filter (fun (k, _) -> k <> key) t.slow_ring in
           t.slow_ring <- (key, entry) :: List.filteri (fun i _ -> i < slow_ring_max - 1) keep)
 
-let slow_jobs_json t =
-  let entries = Mutex.protect t.slow_mutex (fun () -> List.map snd t.slow_ring) in
-  Printf.sprintf "{\"slow_jobs\":[%s]}" (String.concat "," entries)
+let slow_jobs t = Mutex.protect t.slow_mutex (fun () -> List.map snd t.slow_ring)

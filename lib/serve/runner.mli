@@ -72,11 +72,11 @@ val record_slow : t -> key:string -> run_ms:float -> prepared -> unit
     capacity of 8, which holds the current outliers and bounds daemon
     memory. *)
 
-val slow_jobs_json : t -> string
-(** The [{"kind":"timeline"}] response payload:
-    [{"slow_jobs":[...]}], newest first, with per-entry sorted keys: exact
-    (the collector's residual check came back empty), key, run_ms (the
-    original, not re-run, wall-clock cost), spans, spec (the canonical
-    spec object), timeline and wall_us (the captured run's simulated wall
-    clock).  The timeline is the JSONL text as one escaped string, ready to
-    save and feed to [repro timeline]. *)
+val slow_jobs : t -> string list
+(** The rendered ring entries, newest first, each one JSON object with
+    sorted keys: exact (the collector's residual check came back empty),
+    key, run_ms (the original, not re-run, wall-clock cost), spans, spec
+    (the canonical spec object), timeline and wall_us (the captured run's
+    simulated wall clock).  The timeline is the JSONL text as one escaped
+    string, ready to save and feed to [repro timeline].  The daemon's
+    [{"kind":"timeline"}] reply carries them as [{"slow_jobs":[...]}]. *)

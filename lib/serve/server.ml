@@ -135,14 +135,16 @@ let io_error t site e =
        (Json.quote (Printexc.to_string e))
        name)
 
-(* The first failed write marks the connection dead, so later replies to it
-   are dropped without another count. *)
-let write_line t conn line =
+(* One reply, written as [parts] in order under the connection's write
+   mutex: a reply built from large parts goes out without first being
+   copied into one string.  The first failed write marks the connection
+   dead, so later replies to it are dropped without another count. *)
+let write_parts t conn parts =
   Mutex.lock conn.wmutex;
   let failed =
     if not conn.alive then None
     else
-      match write_all conn.fd (line ^ "\n") with
+      match List.iter (write_all conn.fd) parts with
       | () -> None
       | exception e ->
           conn.alive <- false;
@@ -150,6 +152,8 @@ let write_line t conn line =
   in
   Mutex.unlock conn.wmutex;
   Option.iter (io_error t `Reply) failed
+
+let write_line t conn line = write_parts t conn [ line ^ "\n" ]
 
 let id_lit = function Some s -> s | None -> "null"
 
@@ -200,6 +204,17 @@ let render ~id ~key ~kind outcome =
   | Timeout ->
       Printf.sprintf "{\"id\":%s,\"status\":\"timeout\",\"key\":\"%s\",\"error\":\"job timed out\"}"
         (id_lit id) key
+
+(* Every reply starts [{"id":ID,"status":"...], and ID is a scalar JSON
+   literal ({!Job.parse}); a quoted one escapes each of its quotes, so the
+   first ["status":"] in a reply is its own status key. *)
+let reply_status line =
+  let key = {|"status":"|} in
+  let n = String.length line and m = String.length key in
+  let rec matches i k = k = m || (line.[i + k] = key.[k] && matches i (k + 1)) in
+  let rec find i = if i + m > n then None else if matches i 0 then Some (i + m) else find (i + 1) in
+  Option.bind (find 0) (fun j ->
+      Option.map (fun k -> String.sub line j (k - j)) (String.index_from_opt line j '"'))
 
 let send t conn ~id ~key ~kind outcome =
   tick t (fun () ->
@@ -279,9 +294,13 @@ let handle_line t conn line =
         (* A state query, not a simulation: answered inline from the slow
            ring, never queued or cached. *)
         tick t (fun () -> Obs.Counter.inc t.req_ok);
-        write_line t conn
-          (Printf.sprintf "{\"id\":%s,\"status\":\"ok\",\"result\":%s}" (id_lit id)
-             (Runner.slow_jobs_json t.runner));
+        let entries =
+          List.mapi (fun i e -> if i = 0 then [ e ] else [ ","; e ]) (Runner.slow_jobs t.runner)
+        in
+        write_parts t conn
+          ((Printf.sprintf {|{"id":%s,"status":"ok","result":{"slow_jobs":[|} (id_lit id)
+           :: List.concat entries)
+          @ [ "]}}\n" ]);
         log_job t ~id ~key:None ~cache:"timeline" ~queue_wait_us:0.0 ~run_us:0.0 ~slow:false
           "ok"
     | Ok { id; spec } -> (

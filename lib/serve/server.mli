@@ -10,7 +10,13 @@
     {"id":2,"status":"error","cache":"...","key":"...","error":"..."}
     {"id":3,"status":"rejected","key":"...","error":"queue full (max_pending=N)"}
     {"id":4,"status":"timeout","key":"...","error":"job timed out"}
+    {"id":5,"status":"ok","result":{"slow_jobs":[...]}}
     v}
+
+    The last is the answer to a [{"kind":"timeline"}] query, whose entries
+    are {!Runner.slow_jobs}; it is written to the socket part by part, never
+    assembled into one string, since six captures make it tens of
+    megabytes.
 
     Results are content-addressed ({!Job.key}) in a {!Cache}: an identical
     spec is computed once — later requests are [cache:"hit"], concurrent
@@ -20,6 +26,11 @@
     a reason.  An optional HTTP endpoint serves Prometheus [/metrics] and
     [/healthz].  SIGTERM/SIGINT drain: stop accepting, finish admitted jobs
     and deliver their responses, then exit. *)
+
+val reply_status : string -> string option
+(** The ["status"] of one reply line, read without decoding the rest of the
+    line: [Some "ok"], ["error"], ["rejected"] or ["timeout"], [None] if the
+    line has no status key. *)
 
 type outcome = Result of string | Job_error of string | Timeout
 (** What the cache stores per key: a rendered {!Runner.execute} record, a

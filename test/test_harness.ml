@@ -121,6 +121,27 @@ let test_parjobs_map_order () =
     "ordered" (List.map succ xs)
     (Ccdsm_harness.Parjobs.map ~jobs:4 succ xs)
 
+let test_parjobs_caller_computes () =
+  (* [~jobs:2] is two computing domains, the caller and one helper.  Each
+     call holds its domain until both calls are in flight (or a few seconds
+     pass), so neither domain can take both inputs. *)
+  let in_flight = Atomic.make 0 in
+  let f _ =
+    Atomic.incr in_flight;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Atomic.get in_flight < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Domain.self ()
+  in
+  let me = Domain.self () in
+  match Ccdsm_harness.Parjobs.map ~jobs:2 f [ 0; 1 ] with
+  | [ a; b ] ->
+      Alcotest.(check int) "one call on the calling domain" 1
+        (List.length (List.filter (fun d -> d = me) [ a; b ]));
+      Alcotest.(check bool) "the other on a second domain" true (a <> b)
+  | _ -> Alcotest.fail "two results expected"
+
 let test_render_figure () =
   let m = Measure.measure ~num_nodes:4 (water_version Runtime.Stache 32) in
   let fig =
@@ -180,6 +201,7 @@ let suite =
         Alcotest.test_case "worker exception keeps its backtrace" `Quick
           test_parjobs_exception_backtrace;
         Alcotest.test_case "join order" `Quick test_parjobs_map_order;
+        Alcotest.test_case "the caller is one of the jobs" `Quick test_parjobs_caller_computes;
       ] );
     ( "harness.experiments",
       [

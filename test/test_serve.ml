@@ -1,4 +1,4 @@
-(* The serving layer: the persistent work-stealing pool, job-spec parsing
+(* The serving layer: the persistent pool, job-spec parsing
    and content addressing, the inflight-deduplicating result cache, and the
    daemon end-to-end over a Unix socket — including the failure paths
    (timeout, queue-full rejection, malformed specs). *)
@@ -35,26 +35,38 @@ let contains haystack needle = Option.is_some (index_of haystack needle)
 
 (* -- Pool ------------------------------------------------------------------ *)
 
+(* One ticket per job, each awaited: its own result, whatever order the
+   workers finished in. *)
 let test_pool_map_order () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let xs = List.init 100 Fun.id in
-      check
-        Alcotest.(list int)
-        "input order preserved"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map pool (fun x -> x * x) xs))
+  let pool = Pool.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let tickets = List.init 100 (fun x -> Pool.submit pool (fun () -> x * x)) in
+      List.iteri
+        (fun x t -> check Alcotest.int "per-ticket result" (x * x) (Pool.await_exn t))
+        tickets)
 
 let test_pool_persistent_reuse () =
-  (* One pool, many submission waves: the shared deque must keep serving
+  (* One pool, many submission waves: the shared queue must keep serving
      after it has drained to empty (fan-out-and-join pools died here). *)
-  Pool.with_pool ~domains:2 (fun pool ->
+  let pool = Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
       for wave = 1 to 5 do
         let xs = List.init 40 (fun i -> (wave * 1000) + i) in
-        check Alcotest.(list int) "wave results" (List.map succ xs) (Pool.map pool succ xs)
+        let tickets = List.map (fun x -> Pool.submit pool (fun () -> succ x)) xs in
+        check Alcotest.(list int) "wave results" (List.map succ xs)
+          (List.map Pool.await_exn tickets)
       done)
 
 let test_pool_error_capture () =
-  Pool.with_pool ~domains:2 (fun pool ->
+  (* One worker, so the jobs after the raising ones prove it survived. *)
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
       let t = Pool.submit pool (fun () -> failwith "boom") in
       (match Pool.await t with
       | Error (Failure msg, bt) ->
@@ -62,11 +74,12 @@ let test_pool_error_capture () =
           ignore (Printexc.raw_backtrace_to_string bt)
       | Error _ -> Alcotest.fail "wrong exception"
       | Ok () -> Alcotest.fail "must fail");
-      (* [map] re-raises the first error by INPUT order, not completion
-         order. *)
-      match Pool.map pool (fun x -> if x >= 2 then failwith (string_of_int x) else x) [ 1; 2; 3 ] with
-      | exception Failure msg -> check Alcotest.string "first by input order" "2" msg
-      | _ -> Alcotest.fail "map must re-raise")
+      (match Pool.await_exn (Pool.submit pool (fun () -> failwith "again")) with
+      | exception Failure msg -> check Alcotest.string "await_exn re-raises" "again" msg
+      | () -> Alcotest.fail "await_exn must re-raise");
+      let tickets = List.init 8 (fun i -> Pool.submit pool (fun () -> i)) in
+      check Alcotest.(list int) "worker alive after a raise" (List.init 8 Fun.id)
+        (List.map Pool.await_exn tickets))
 
 let test_pool_shutdown () =
   let pool = Pool.create ~domains:2 () in
@@ -380,7 +393,7 @@ let test_runner_capture_matches_served () =
         ("faulted", {|{"app":"jacobi","protocol":"stache","nodes":8,"faults":"drop=0.05,seed=3"}|});
       ]
   in
-  let ring = Runner.slow_jobs_json runner in
+  let ring = String.concat "," (Runner.slow_jobs runner) in
   List.iter
     (fun (key, total_us) ->
       match index_of ring (Printf.sprintf "\"key\":\"%s\"" key) with
@@ -939,6 +952,54 @@ let test_serve_cli_round_trip () =
       check Alcotest.int "every record ok" (List.length records)
         (count {|"status":"ok"|} records))
 
+(* A reply's status is read without decoding the reply.  An id is a scalar
+   literal whose quotes, when quoted, are escaped, so an id spelling
+   ["status":"ok"] cannot pass for the reply's own status key. *)
+let test_reply_status () =
+  List.iter
+    (fun (line, want) -> check Alcotest.(option string) line want (Server.reply_status line))
+    [
+      ({|{"id":1,"status":"ok","cache":"miss","key":"k","result":{"status":"x"}}|}, Some "ok");
+      ({|{"id":"\"status\":\"ok\"","status":"error","error":"e"}|}, Some "error");
+      ({|{"id":null,"status":"rejected","key":"k","error":"queue full"}|}, Some "rejected");
+      ({|{"id":true,"status":"timeout","key":"k","error":"job timed out"}|}, Some "timeout");
+      ({|{"id":1}|}, None);
+      ("", None);
+    ]
+
+(* [repro submit] exits 1 when a reply is not ok, also when the failing
+   job's id spells ["status":"ok"]. *)
+let test_submit_exit_status () =
+  let here = Filename.dirname Sys.executable_name in
+  let repro = Filename.concat here "../bin/repro.exe" in
+  let sock = Filename.temp_file "ccdsm-serve" ".sock" in
+  Sys.remove sock;
+  let spec = Filename.temp_file "ccdsm-jobs" ".txt" in
+  Out_channel.with_open_text spec (fun oc ->
+      output_string oc {|{"id":"\"status\":\"ok\"","app":"no-such-app","protocol":"stache"}|};
+      output_char oc '\n');
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process repro [| repro; "serve"; "--socket"; sock; "--jobs"; "1" |] Unix.stdin
+      out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let server_out = Unix.in_channel_of_descr out_r in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      close_in_noerr server_out;
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ sock; spec ])
+    (fun () ->
+      ignore (input_line server_out);
+      let ic = Unix.open_process_args_in repro [| repro; "submit"; "--socket"; sock; spec |] in
+      let reply = In_channel.input_all ic in
+      let status = Unix.close_process_in ic in
+      check Alcotest.bool "the id echoes the decoy" true (contains reply {|\"status\":\"ok\"|});
+      check Alcotest.bool "the job failed" true (contains reply {|","status":"error"|});
+      check Alcotest.bool "submit exits 1" true (status = Unix.WEXITED 1))
+
 let suite =
   [
     ( "serve",
@@ -977,5 +1038,7 @@ let suite =
         Alcotest.test_case "serve scrape and hit during a cold collection" `Quick
           test_serve_scrape_during_collection;
         Alcotest.test_case "serve CLI round trip" `Quick test_serve_cli_round_trip;
+        Alcotest.test_case "reply status without decoding" `Quick test_reply_status;
+        Alcotest.test_case "submit exits 1 on a decoy-id failure" `Quick test_submit_exit_status;
       ] );
   ]
