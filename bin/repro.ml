@@ -539,8 +539,8 @@ let run_faults full nodes jobs metrics protocols =
       let protocols = runtime_protocols protocols in
       print_string (E.faults_grid ~num_nodes:nodes ?jobs ?protocols (scale full)))
 
-let run_ablate full nodes metrics =
-  with_metrics metrics (fun () -> print_string (E.ablations ~num_nodes:nodes (scale full)))
+let run_ablate full nodes jobs metrics =
+  with_metrics metrics (fun () -> print_string (E.ablations ~num_nodes:nodes ?jobs (scale full)))
 
 let run_scaling full jobs metrics nodes =
   let nodes = parse_scaling_nodes nodes in
@@ -736,7 +736,7 @@ let run_all full nodes jobs trace metrics =
       print_figure fig7;
       print_string (E.block_sweep ~num_nodes:nodes ?jobs s);
       print_newline ();
-      print_string (E.ablations ~num_nodes:nodes s);
+      print_string (E.ablations ~num_nodes:nodes ?jobs s);
       print_newline ();
       print_string (E.scaling ?jobs s);
       print_newline ();
@@ -1064,7 +1064,7 @@ let cmds =
        simulation)"
       Term.(const run_predict $ predict_file_arg $ predict_protocol_arg $ predict_blocks_arg);
     cmd "ablate" "Design ablations (coalescing, incremental schedules, interconnect)"
-      Term.(const run_ablate $ full_arg $ nodes_arg $ metrics_arg);
+      Term.(const run_ablate $ full_arg $ nodes_arg $ jobs_term $ metrics_arg);
     cmd "faults" "Fault-injection robustness grid (drops/dups/delays/schedule corruption)"
       Term.(const run_faults $ full_arg $ nodes_arg $ jobs_term $ metrics_arg $ protocols_arg);
     cmd "scaling" "Node-count scaling (extension; up to 1024 nodes with --nodes)"

@@ -5,11 +5,10 @@ module Network = Ccdsm_tempest.Network
 module Runtime = Ccdsm_runtime.Runtime
 module Adaptive = Ccdsm_apps.Adaptive
 module Barnes = Ccdsm_apps.Barnes
-module Barnes_spmd = Ccdsm_apps.Barnes_spmd
 module Water = Ccdsm_apps.Water
 module Irregular = Ccdsm_apps.Irregular
 
-type scale = Paper | Scaled
+type scale = Cell.scale = Paper | Scaled
 
 let scale_of_env () =
   match Sys.getenv_opt "CCDSM_FULL" with
@@ -23,19 +22,19 @@ type figure = {
   notes : string list;
 }
 
-(* -- data-set sizes ---------------------------------------------------------- *)
+(* fig5-7, block_sweep, the ablations and scaling measure their versions
+   through [Cell.measure] on [Parjobs.map].  [map_groups] fans several
+   groups of (label, spec) versions out as one list and hands each group its
+   own results back, in input order. *)
+let rec regroup groups ys =
+  match groups with
+  | [] -> []
+  | g :: gs ->
+      let n = List.length g in
+      List.filteri (fun i _ -> i < n) ys :: regroup gs (List.filteri (fun i _ -> i >= n) ys)
 
-let adaptive_cfg = function
-  | Paper -> Adaptive.default
-  | Scaled -> { Adaptive.default with Adaptive.n = 96; iterations = 20; refine_every = 4 }
-
-let barnes_cfg = function
-  | Paper -> Barnes.default
-  | Scaled -> { Barnes.default with Barnes.n_bodies = 2048; iterations = 3 }
-
-let water_cfg = function
-  | Paper -> Water.default
-  | Scaled -> { Water.default with Water.n_molecules = 256; iterations = 8 }
+let map_groups ?jobs f groups = regroup groups (Parjobs.map ?jobs f (List.concat groups))
+let measure_cell (label, spec) = Cell.measure ~label spec
 
 (* -- rendering ---------------------------------------------------------------- *)
 
@@ -77,7 +76,7 @@ let render fig =
 (* -- Table 1 ------------------------------------------------------------------ *)
 
 let table1 scale =
-  let a = adaptive_cfg scale and b = barnes_cfg scale and w = water_cfg scale in
+  let a = Cell.adaptive_cfg scale and b = Cell.barnes_cfg scale and w = Cell.water_cfg scale in
   Ascii.table
     ~header:[ "Program"; "Brief Description"; "Data set" ]
     [
@@ -147,8 +146,7 @@ let fig4 () =
 (* -- Figures 5-7 ---------------------------------------------------------------- *)
 
 let fig5 ?num_nodes ?jobs scale =
-  let cfg = adaptive_cfg scale in
-  let run rt = (Adaptive.run rt cfg).Adaptive.checksum in
+  let cfg = Cell.adaptive_cfg scale in
   {
     id = "fig5";
     title =
@@ -157,8 +155,7 @@ let fig5 ?num_nodes ?jobs scale =
     rows =
       Parjobs.map ?jobs
         (fun (label, protocol, block_bytes) ->
-          Measure.measure ?num_nodes ~app:"adaptive"
-            (Measure.version ~label ~protocol ~block_bytes run))
+          Cell.measure ~label (Cell.spec ?nodes:num_nodes ~protocol ~block_bytes scale Adaptive))
         [
           ("C** unoptimized (32)", Runtime.Stache, 32);
           ("C** unoptimized (256)", Runtime.Stache, 256);
@@ -174,9 +171,7 @@ let fig5 ?num_nodes ?jobs scale =
   }
 
 let fig6 ?num_nodes ?jobs scale =
-  let cfg = barnes_cfg scale in
-  let run rt = (Barnes.run rt cfg).Barnes.checksum in
-  let run_spmd rt = (Barnes_spmd.run rt cfg).Barnes.checksum in
+  let cfg = Cell.barnes_cfg scale in
   {
     id = "fig6";
     title =
@@ -184,15 +179,14 @@ let fig6 ?num_nodes ?jobs scale =
         cfg.Barnes.iterations;
     rows =
       Parjobs.map ?jobs
-        (fun (label, protocol, block_bytes, run) ->
-          Measure.measure ?num_nodes ~app:"barnes"
-            (Measure.version ~label ~protocol ~block_bytes run))
+        (fun (label, protocol, block_bytes, variant) ->
+          Cell.measure ~label (Cell.spec ?nodes:num_nodes ~protocol ~block_bytes scale variant))
         [
-          ("C** unoptimized (32)", Runtime.Stache, 32, run);
-          ("C** unoptimized (1024)", Runtime.Stache, 1024, run);
-          ("C** optimized (32)", Runtime.Predictive, 32, run);
-          ("C** optimized (1024)", Runtime.Predictive, 1024, run);
-          ("SPMD write-update (1024)", Runtime.Write_update, 1024, run_spmd);
+          ("C** unoptimized (32)", Runtime.Stache, 32, Cell.Barnes);
+          ("C** unoptimized (1024)", Runtime.Stache, 1024, Barnes);
+          ("C** optimized (32)", Runtime.Predictive, 32, Barnes);
+          ("C** optimized (1024)", Runtime.Predictive, 1024, Barnes);
+          ("SPMD write-update (1024)", Runtime.Write_update, 1024, Barnes_spmd);
         ];
     notes =
       [
@@ -205,45 +199,35 @@ let fig6 ?num_nodes ?jobs scale =
 let water_block_candidates = [ 32; 64; 128; 256 ]
 
 let fig7 ?num_nodes ?jobs scale =
-  let cfg = water_cfg scale in
-  let versions =
-    [
-      ("C** unoptimized", Runtime.Stache, fun rt -> (Water.run rt cfg).Water.checksum);
-      ("C** optimized", Runtime.Predictive, fun rt -> (Water.run rt cfg).Water.checksum);
-      ("Splash", Runtime.Stache, fun rt -> (Water.run_splash rt cfg).Water.checksum);
-    ]
-  in
-  (* One flat fan-out over every (version, block size) candidate; the
-     best-of fold happens on the joined, input-ordered results. *)
-  let candidates =
-    Parjobs.map ?jobs
-      (fun ((label, protocol, run), bs) ->
-        Measure.measure ?num_nodes ~app:"water"
-          (Measure.version
-             ~label:(Printf.sprintf "%s (%d)" label bs)
-             ~protocol ~block_bytes:bs run))
-      (List.concat_map (fun v -> List.map (fun bs -> (v, bs)) water_block_candidates) versions)
+  let cfg = Cell.water_cfg scale in
+  let candidates (label, protocol, variant) =
+    List.map
+      (fun bs ->
+        ( Printf.sprintf "%s (%d)" label bs,
+          Cell.spec ?nodes:num_nodes ~protocol ~block_bytes:bs scale variant ))
+      water_block_candidates
   in
   let best_of ms =
     List.fold_left
       (fun acc m -> if m.Measure.total_us < acc.Measure.total_us then m else acc)
       (List.hd ms) (List.tl ms)
   in
-  let nbs = List.length water_block_candidates in
-  let rec chunks = function
-    | [] -> []
-    | ms ->
-        let rec split k l = if k = 0 then ([], l) else
-          match l with x :: tl -> let a, b = split (k - 1) tl in (x :: a, b) | [] -> (l, []) in
-        let c, rest = split nbs ms in
-        c :: chunks rest
-  in
   {
     id = "fig7";
     title =
       Printf.sprintf "Water (%d molecules, %d iterations; best block size per version)"
         cfg.Water.n_molecules cfg.Water.iterations;
-    rows = List.map best_of (chunks candidates);
+    (* One flat fan-out over every (version, block size) candidate; the
+       best-of fold happens on the joined, input-ordered results. *)
+    rows =
+      List.map best_of
+        (map_groups ?jobs measure_cell
+           (List.map candidates
+              [
+                ("C** unoptimized", Runtime.Stache, Cell.Water);
+                ("C** optimized", Runtime.Predictive, Water);
+                ("Splash", Runtime.Stache, Water_splash);
+              ]));
     notes =
       [
         "optimized modestly faster than unoptimized (~1.05x in the paper)";
@@ -256,33 +240,28 @@ let fig7 ?num_nodes ?jobs scale =
 
 let block_sizes = [ 32; 64; 128; 256; 512; 1024 ]
 
+(* One machine configuration unoptimized (Stache) and optimized
+   (predictive): both total times and their ratio, as block_sweep and
+   scaling print them. *)
+let speedup_cells ?nodes ~block_bytes scale variant =
+  let m protocol label =
+    Cell.measure ~label (Cell.spec ?nodes ~protocol ~block_bytes scale variant)
+  in
+  let unopt = m Runtime.Stache "unopt" in
+  let opt = m Runtime.Predictive "opt" in
+  [
+    Printf.sprintf "%.1f" (unopt.Measure.total_us /. 1000.0);
+    Printf.sprintf "%.1f" (opt.Measure.total_us /. 1000.0);
+    Printf.sprintf "%.2f" (unopt.Measure.total_us /. opt.Measure.total_us);
+  ]
+
 let block_sweep ?num_nodes ?jobs ?(quick = false) scale =
   let sizes = if quick then [ 32; 256 ] else block_sizes in
-  let apps =
-    [
-      ( "Adaptive",
-        fun rt ->
-          (Adaptive.run rt (adaptive_cfg scale)).Adaptive.checksum );
-      ("Barnes", fun rt -> (Barnes.run rt (barnes_cfg scale)).Barnes.checksum);
-      ("Water", fun rt -> (Water.run rt (water_cfg scale)).Water.checksum);
-    ]
-  in
+  let apps = [ ("Adaptive", Cell.Adaptive); ("Barnes", Barnes); ("Water", Water) ] in
   let rows =
     Parjobs.map ?jobs
-      (fun ((name, run), bs) ->
-        let m protocol label =
-          Measure.measure ?num_nodes ~app:(String.lowercase_ascii name)
-            (Measure.version ~label ~protocol ~block_bytes:bs run)
-        in
-        let unopt = m Runtime.Stache "unopt" in
-        let opt = m Runtime.Predictive "opt" in
-        [
-          name;
-          string_of_int bs;
-          Printf.sprintf "%.1f" (unopt.Measure.total_us /. 1000.0);
-          Printf.sprintf "%.1f" (opt.Measure.total_us /. 1000.0);
-          Printf.sprintf "%.2f" (unopt.Measure.total_us /. opt.Measure.total_us);
-        ])
+      (fun ((name, variant), bs) ->
+        name :: string_of_int bs :: speedup_cells ?nodes:num_nodes ~block_bytes:bs scale variant)
       (List.concat_map (fun app -> List.map (fun bs -> (app, bs)) sizes) apps)
   in
   "Section 5.4: block-size sensitivity (speedup = unopt/opt; >1 means the\n\
@@ -295,9 +274,9 @@ let sweep_apps scale =
   (* Barnes' tree build is a legitimate multi-writer phase, so the word-level
      race check is off for it (same as the fault grid). *)
   [
-    ("Adaptive", true, fun rt -> (Adaptive.run rt (adaptive_cfg scale)).Adaptive.checksum);
-    ("Barnes", false, fun rt -> (Barnes.run rt (barnes_cfg scale)).Barnes.checksum);
-    ("Water", true, fun rt -> (Water.run rt (water_cfg scale)).Water.checksum);
+    ("Adaptive", true, Cell.run Adaptive scale);
+    ("Barnes", false, Cell.run Barnes scale);
+    ("Water", true, Cell.run Water scale);
   ]
 
 (* The --quick grid: one representative small and large block size, and the
@@ -346,110 +325,80 @@ let protocol_sweep ?(num_nodes = 32) ?jobs ?(quick = false) ?(migratory_threshol
 
 (* -- ablations -------------------------------------------------------------------- *)
 
-let ablations ?num_nodes scale =
-  let buf = Buffer.create 1024 in
-  let w_cfg = water_cfg scale and a_cfg = adaptive_cfg scale in
-  (* 1. presend bulk coalescing. *)
-  let water_run rt = (Water.run rt w_cfg).Water.checksum in
-  let with_coalesce c label =
-    Measure.measure ?num_nodes ~app:"water"
-      (Measure.version ~label ~protocol:Runtime.Predictive ~block_bytes:32 ~coalesce:c
-         water_run)
+let ablations ?num_nodes ?jobs scale =
+  let v ?net ?coalesce ?conflict_action label variant protocol block_bytes =
+    ( label,
+      Cell.spec ?nodes:num_nodes ?net ?coalesce ?conflict_action ~protocol ~block_bytes scale
+        variant )
   in
-  let on = with_coalesce true "coalescing on" and off = with_coalesce false "coalescing off" in
-  Buffer.add_string buf "Ablation 1: presend bulk-message coalescing (Water, 32B blocks)\n";
-  Buffer.add_string buf
-    (Ascii.table
-       ~header:[ "variant"; "presend(ms)"; "presend msgs"; "total(ms)" ]
-       (List.map
-          (fun m ->
-            [
-              m.Measure.label;
-              Printf.sprintf "%.1f" (m.Measure.presend_us /. 1000.0);
-              Printf.sprintf "%.0f" (Measure.stat m "ccdsm_presend_msgs_total");
-              Printf.sprintf "%.1f" (m.Measure.total_us /. 1000.0);
-            ])
-          [ on; off ]));
-  (* 2. incremental schedules vs rebuild-from-scratch. *)
-  let adaptive ~flush label =
-    Measure.measure ?num_nodes ~app:"adaptive"
-      (Measure.version ~label ~protocol:Runtime.Predictive ~block_bytes:32 (fun rt ->
-           (Adaptive.run ~flush_each_iter:flush rt a_cfg).Adaptive.checksum))
+  let table header cells ms =
+    Ascii.table ~header:("variant" :: header) (List.map (fun m -> m.Measure.label :: cells m) ms)
   in
-  let incr = adaptive ~flush:false "incremental schedules"
-  and flush = adaptive ~flush:true "flush every iteration" in
-  Buffer.add_string buf
-    "\nAblation 2: incremental schedules vs flushing every iteration (Adaptive)\n";
-  Buffer.add_string buf
-    (Ascii.table
-       ~header:[ "variant"; "faults"; "remote-wait(ms)"; "total(ms)" ]
-       (List.map
-          (fun m ->
-            let c = m.Measure.counters in
-            [
-              m.Measure.label;
-              string_of_int (c.Machine.read_faults + c.Machine.write_faults);
-              Printf.sprintf "%.1f" (m.Measure.remote_wait_us /. 1000.0);
-              Printf.sprintf "%.1f" (m.Measure.total_us /. 1000.0);
-            ])
-          [ incr; flush ]));
-  (* 3. interconnect class (section 5.4 discussion). *)
-  let net_variant net label protocol =
-    Measure.measure ?num_nodes ~app:"water"
-      (Measure.version ~label ~protocol ~block_bytes:32 ~net water_run)
+  let ms x = Printf.sprintf "%.1f" (x /. 1000.0) and ms2 x = Printf.sprintf "%.2f" (x /. 1000.0) in
+  let faults_table =
+    table [ "faults"; "remote-wait(ms)"; "total(ms)" ] (fun m ->
+        let c = m.Measure.counters in
+        [
+          string_of_int (c.Machine.read_faults + c.Machine.write_faults);
+          ms m.Measure.remote_wait_us;
+          ms m.Measure.total_us;
+        ])
   in
-  let rows =
+  let hw = Network.hardware_dsm in
+  (* (heading, render, versions) per ablation; every version of every
+     ablation goes out in one fan-out. *)
+  let ablations =
     [
-      net_variant Network.default "CM-5-class, unopt" Runtime.Stache;
-      net_variant Network.default "CM-5-class, opt" Runtime.Predictive;
-      net_variant Network.hardware_dsm "hardware DSM, unopt" Runtime.Stache;
-      net_variant Network.hardware_dsm "hardware DSM, opt" Runtime.Predictive;
+      ( "Ablation 1: presend bulk-message coalescing (Water, 32B blocks)\n",
+        table [ "presend(ms)"; "presend msgs"; "total(ms)" ] (fun m ->
+            [
+              ms m.Measure.presend_us;
+              Printf.sprintf "%.0f" (Measure.stat m "ccdsm_presend_msgs_total");
+              ms m.Measure.total_us;
+            ]),
+        [
+          v "coalescing on" Water Predictive 32;
+          v ~coalesce:false "coalescing off" Water Predictive 32;
+        ] );
+      ( "\nAblation 2: incremental schedules vs flushing every iteration (Adaptive)\n",
+        faults_table,
+        [
+          v "incremental schedules" Adaptive Predictive 32;
+          v "flush every iteration" Adaptive_flush Predictive 32;
+        ] );
+      (* Interconnect class (section 5.4 discussion).  These four run last
+         row first, the order a traced or metered run has always recorded
+         them in, and the table reverses them back. *)
+      ( "\nAblation 3: interconnect class (Water) — the presend tradeoff shrinks on\n\
+         hardware-assisted DSMs with small remote latencies (section 5.4)\n",
+        (fun rows ->
+          table [ "remote-wait(ms)"; "presend(ms)"; "total(ms)" ]
+            (fun m ->
+              [ ms2 m.Measure.remote_wait_us; ms2 m.Measure.presend_us; ms2 m.Measure.total_us ])
+            (List.rev rows)),
+        [
+          v ~net:hw "hardware DSM, opt" Water Predictive 32;
+          v ~net:hw "hardware DSM, unopt" Water Stache 32;
+          v "CM-5-class, opt" Water Predictive 32;
+          v "CM-5-class, unopt" Water Stache 32;
+        ] );
+      (* Conflict-block action (the section 3.4 extension).  At 64-byte
+         blocks two opposite-colour Adaptive cells share every block, so the
+         sweep schedules are conflict-dominated: the paper's implementation
+         takes no action, the suggested extension anticipates the
+         pre-conflict stable state. *)
+      ( "\nAblation 4: conflict-block presend action (Adaptive, 64B blocks, where\n\
+         red/black cells share blocks and conflicts dominate the schedules)\n",
+        faults_table,
+        [
+          v "no conflict action (paper)" Adaptive Predictive 64;
+          v ~conflict_action:`First_stable "first-stable action (extension)" Adaptive Predictive 64;
+        ] );
     ]
   in
-  Buffer.add_string buf
-    "\nAblation 3: interconnect class (Water) — the presend tradeoff shrinks on\n\
-     hardware-assisted DSMs with small remote latencies (section 5.4)\n";
-  Buffer.add_string buf
-    (Ascii.table
-       ~header:[ "variant"; "remote-wait(ms)"; "presend(ms)"; "total(ms)" ]
-       (List.map
-          (fun m ->
-            [
-              m.Measure.label;
-              Printf.sprintf "%.2f" (m.Measure.remote_wait_us /. 1000.0);
-              Printf.sprintf "%.2f" (m.Measure.presend_us /. 1000.0);
-              Printf.sprintf "%.2f" (m.Measure.total_us /. 1000.0);
-            ])
-          rows));
-  (* 4. conflict-block action (the section 3.4 extension).  At 64-byte
-     blocks two opposite-colour Adaptive cells share every block, so the
-     sweep schedules are conflict-dominated: the paper's implementation
-     takes no action, the suggested extension anticipates the pre-conflict
-     stable state. *)
-  let conflict action label =
-    Measure.measure ?num_nodes ~app:"adaptive"
-      (Measure.version ~label ~protocol:Runtime.Predictive ~block_bytes:64
-         ~conflict_action:action (fun rt -> (Adaptive.run rt a_cfg).Adaptive.checksum))
-  in
-  let ignore_m = conflict `Ignore "no conflict action (paper)" in
-  let stable_m = conflict `First_stable "first-stable action (extension)" in
-  Buffer.add_string buf
-    "\nAblation 4: conflict-block presend action (Adaptive, 64B blocks, where\n\
-     red/black cells share blocks and conflicts dominate the schedules)\n";
-  Buffer.add_string buf
-    (Ascii.table
-       ~header:[ "variant"; "faults"; "remote-wait(ms)"; "total(ms)" ]
-       (List.map
-          (fun m ->
-            let c = m.Measure.counters in
-            [
-              m.Measure.label;
-              string_of_int (c.Machine.read_faults + c.Machine.write_faults);
-              Printf.sprintf "%.1f" (m.Measure.remote_wait_us /. 1000.0);
-              Printf.sprintf "%.1f" (m.Measure.total_us /. 1000.0);
-            ])
-          [ ignore_m; stable_m ]));
-  Buffer.contents buf
+  let results = map_groups ?jobs measure_cell (List.map (fun (_, _, vs) -> vs) ablations) in
+  String.concat ""
+    (List.map2 (fun (heading, render, _) rows -> heading ^ render rows) ablations results)
 
 (* -- inspector-executor comparison (section 2) -------------------------------- *)
 
@@ -610,22 +559,9 @@ let scaling ?jobs ?(nodes = default_scaling_nodes) scale =
           (Printf.sprintf "Experiments.scaling: node count %d out of range [1, %d]" p
              Ccdsm_util.Nodeset.max_nodes))
     nodes;
-  let cfg = water_cfg scale in
-  let run rt = (Water.run rt cfg).Water.checksum in
   let rows =
     Parjobs.map ?jobs
-      (fun p ->
-        let m protocol label =
-          Measure.measure ~num_nodes:p ~app:"water"
-            (Measure.version ~label ~protocol ~block_bytes:32 run)
-        in
-        let unopt = m Runtime.Stache "unopt" and opt = m Runtime.Predictive "opt" in
-        [
-          string_of_int p;
-          Printf.sprintf "%.1f" (unopt.Measure.total_us /. 1000.0);
-          Printf.sprintf "%.1f" (opt.Measure.total_us /. 1000.0);
-          Printf.sprintf "%.2f" (unopt.Measure.total_us /. opt.Measure.total_us);
-        ])
+      (fun p -> string_of_int p :: speedup_cells ~nodes:p ~block_bytes:32 scale Water)
       nodes
   in
   "Node-count scaling (Water, 32B blocks; extension beyond the paper's fixed\n\

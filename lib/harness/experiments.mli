@@ -2,9 +2,7 @@
     section-5.4 block-size sweep and design ablations (see DESIGN.md for the
     experiment index and EXPERIMENTS.md for recorded outcomes). *)
 
-type scale =
-  | Paper  (** the paper's data sets (Table 1): 128x128x100 / 16384x3 / 512x20 *)
-  | Scaled  (** reduced sizes: the default, and what CI and the goldens run *)
+type scale = Cell.scale = Paper | Scaled  (** {!Cell.scale}, re-exported *)
 
 val scale_of_env : unit -> scale
 (** [Paper] when CCDSM_FULL is set to a non-empty, non-"0" value. *)
@@ -31,7 +29,10 @@ val fig4 : unit -> string
     simulations on OCaml 5 domains via {!Parjobs.map} — up to [jobs] at a
     time (default {!Parjobs.default_jobs}: [CCDSM_JOBS] or the available
     cores), joined in fixed input order so the rendered output is
-    byte-identical at any job count. *)
+    byte-identical at any job count.  fig5, fig6, fig7, {!block_sweep},
+    {!ablations} and {!scaling} measure through {!Cell.measure}, so a cell
+    that one of them has measured is not simulated again in the same
+    process. *)
 
 val fig5 : ?num_nodes:int -> ?jobs:int -> scale -> figure
 (** Adaptive: unoptimized and optimized at 32- and 256-byte blocks. *)
@@ -51,9 +52,9 @@ val block_sweep : ?num_nodes:int -> ?jobs:int -> ?quick:bool -> scale -> string
     256-byte columns (the CI smoke grid). *)
 
 val sweep_apps : scale -> (string * bool * (Ccdsm_runtime.Runtime.t -> float)) list
-(** The app table behind {!protocol_sweep} and the serving layer's job
-    runner: [(display name, check_races, run)] per application, at the given
-    scale's data-set sizes.  [check_races] is false only for Barnes, whose
+(** The apps behind {!protocol_sweep} and the serving layer's job runner:
+    [(display name, check_races, run)] for Adaptive, Barnes and Water, with
+    [run] from {!Cell.run} at the given scale.  [check_races] is false only for Barnes, whose
     tree build is a legitimate multi-writer phase. *)
 
 val protocol_sweep :
@@ -72,10 +73,11 @@ val protocol_sweep :
     Barnes — the CI smoke configuration.  [migratory_threshold] (default 1)
     feeds the migratory protocol's option record. *)
 
-val ablations : ?num_nodes:int -> scale -> string
+val ablations : ?num_nodes:int -> ?jobs:int -> scale -> string
 (** Design ablations: presend bulk coalescing on/off; incremental schedules
     vs flush-every-iteration; CM-5-class vs hardware-DSM network (the
-    section 5.4 latency-tradeoff discussion). *)
+    section 5.4 latency-tradeoff discussion); no conflict action vs the
+    first-stable extension.  All ten versions go out in one fan-out. *)
 
 val inspector : scale -> string
 (** Section 2 comparison: the predictive protocol vs. a CHAOS-style

@@ -46,13 +46,12 @@ let env_jobs () =
 let default_jobs () =
   match env_jobs () with Some n -> n | None -> Domain.recommended_domain_count ()
 
+let observed () = Ccdsm_tempest.Trace.global () <> None || Ccdsm_obs.Obs.global () <> None
+
 let map ?jobs f xs =
   let n = List.length xs in
   let jobs = min n (match jobs with Some j -> max 1 j | None -> default_jobs ()) in
-  let jobs =
-    if Ccdsm_tempest.Trace.global () <> None || Ccdsm_obs.Obs.global () <> None then 1
-    else jobs
-  in
+  let jobs = if observed () then 1 else jobs in
   if jobs <= 1 then List.map f xs
   else begin
     (* The caller and [jobs - 1] helpers take indices from one counter; each

@@ -17,6 +17,11 @@
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
+val observed : unit -> bool
+(** Whether a process-global trace sink or metrics registry is installed:
+    the test behind [map]'s sequential fallback, and the one {!Cell.measure}
+    uses to bypass its memo. *)
+
 val default_jobs : unit -> int
 (** [CCDSM_JOBS] when set (validated), otherwise
     [Domain.recommended_domain_count ()]. *)

@@ -5,6 +5,7 @@ module Machine = Ccdsm_tempest.Machine
 module Network = Ccdsm_tempest.Network
 module Runtime = Ccdsm_runtime.Runtime
 module Measure = Ccdsm_harness.Measure
+module Cell = Ccdsm_harness.Cell
 module E = Ccdsm_harness.Experiments
 module Water = Ccdsm_apps.Water
 
@@ -185,6 +186,53 @@ let test_trace_summary_histograms () =
           Alcotest.(check bool) "priced total" true
             (contains s (Printf.sprintf "%.0f" (2.0 *. cost))))
 
+(* Every spec field and the environment's fault plan are in the memo's key:
+   whatever the memo has seen before, a cell measured through it equals a
+   direct measurement of the same version in every field but the label.
+   Each field change must also change the measurement, or a key without
+   that field would pass unnoticed. *)
+let test_cell_memo_key () =
+  let direct (s : Cell.spec) =
+    Measure.measure ~num_nodes:s.Cell.nodes
+      (Measure.version ~label:"" ~protocol:s.Cell.protocol ~block_bytes:s.Cell.block_bytes
+         ~net:s.Cell.net ~coalesce:s.Cell.coalesce ~conflict_action:s.Cell.conflict_action
+         (Cell.run s.Cell.variant s.Cell.scale))
+  in
+  let base = Cell.spec ~nodes:8 ~protocol:Runtime.Predictive ~block_bytes:64 E.Scaled Cell.Adaptive in
+  let base_m = direct base in
+  List.iter
+    (fun (field, (s : Cell.spec)) ->
+      let m = Cell.measure ~label:field s in
+      check Alcotest.string (field ^ ": caller's label") field m.Measure.label;
+      let d = direct s in
+      Alcotest.(check bool) (field ^ ": memo = direct") true ({ m with Measure.label = "" } = d);
+      if s <> base then Alcotest.(check bool) (field ^ " changes the cell") true (d <> base_m))
+    [
+      ("base", base);
+      ("variant", { base with Cell.variant = Cell.Adaptive_flush });
+      ("nodes", { base with Cell.nodes = 4 });
+      ("protocol", { base with Cell.protocol = Runtime.Stache });
+      ("block", { base with Cell.block_bytes = 32 });
+      ("network", { base with Cell.net = Network.hardware_dsm });
+      ("coalescing", { base with Cell.coalesce = false });
+      ("conflict action", { base with Cell.conflict_action = `First_stable });
+    ];
+  (* fig5 clean, then under the plan test/cli pins: the second run must not
+     be served the first one's cells. *)
+  let fig5 plan =
+    let saved = Sys.getenv_opt "CCDSM_FAULTS" in
+    Unix.putenv "CCDSM_FAULTS" plan;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "CCDSM_FAULTS" (Option.value saved ~default:""))
+      (fun () -> E.render (E.fig5 ~num_nodes:8 E.Scaled) ^ "\n")
+  in
+  let clean = fig5 "" in
+  let faulted = fig5 "drop=0.05,dup=0.02,delay=0.02,corrupt=0.05,seed=11" in
+  check Alcotest.string "faulted fig5 = test/cli golden"
+    (In_channel.with_open_bin "cli/fig5_faulted.expected" In_channel.input_all)
+    faulted;
+  Alcotest.(check bool) "faults change fig5" true (clean <> faulted)
+
 let suite =
   [
     ( "harness.measure",
@@ -195,6 +243,7 @@ let suite =
           test_measure_protocol_changes_time_not_values;
         Alcotest.test_case "network override" `Quick test_measure_network_override;
         Alcotest.test_case "coalesce override" `Quick test_measure_coalesce_override;
+        Alcotest.test_case "cell memo key holds every field" `Quick test_cell_memo_key;
       ] );
     ( "harness.parjobs",
       [
