@@ -7,7 +7,10 @@
    dune exec bench/main.exe           # print the Bechamel table
    dune exec bench/main.exe -- --json [FILE]
                                       # also write the ns/op per row as JSON
-                                      # (default FILE: BENCH.json) *)
+                                      # (default FILE: BENCH.json)
+
+   After the rows it checks the ratio bounds below and exits 1 if one
+   fails. *)
 
 open Bechamel
 open Toolkit
@@ -236,8 +239,9 @@ let test_presend_cached_sort =
    and its engine): the observer rows.  With nothing attached a read must
    cost the micro-local-hit level, the one-flag hot path; the sanitized rows
    are the checked access path every served simulation, sweep cell and
-   fault-grid row runs (a stable point on the dirty set and, for the write,
-   the race-table stamp). *)
+   fault-grid row runs: the audited hit, which tests the pending stable
+   point and, for the write, the race stamp, then records the access in the
+   sanitizer's ring. *)
 let observed_hit ~name ~write attach =
   Test.make ~name
     (Staged.stage
@@ -375,6 +379,31 @@ let write_json path rows =
   Printf.fprintf oc "  }\n}\n";
   close_out oc
 
+(* -- ratio bounds ------------------------------------------------------------- *)
+
+(* Rows timed in this one process, against each other, so a bound holds on
+   any host: a sanitized hit (an audited hit, in line in the machine) costs
+   at most [ratio_bound] times an unobserved read.  All three rows come from
+   [observed_hit]. *)
+let ratio_bound = 2.0
+
+let ratios_hold rows =
+  print_endline "== Ratio bounds (against micro-read-unprofiled) ==";
+  let est name = Option.join (List.assoc_opt ("ccdsm/" ^ name) rows) in
+  List.fold_left
+    (fun ok name ->
+      match (est name, est "micro-read-unprofiled") with
+      | Some ns, Some base ->
+          let r = ns /. base in
+          Printf.printf "  %-36s %6.2fx (bound %.1fx)%s\n" name r ratio_bound
+            (if r <= ratio_bound then "" else "  OVER");
+          ok && r <= ratio_bound
+      | _ ->
+          Printf.printf "  %-36s (no estimate)\n" name;
+          false)
+    true
+    [ "micro-read-sanitized"; "micro-write-sanitized" ]
+
 let json_mode () =
   (* "--json" or "--json FILE" anywhere on the command line. *)
   let argv = Array.to_list Sys.argv in
@@ -393,4 +422,5 @@ let () =
     (fun path ->
       write_json path rows;
       Printf.printf "bench: wrote %s\n" path)
-    (json_mode ())
+    (json_mode ());
+  if not (ratios_hold rows) then exit 1

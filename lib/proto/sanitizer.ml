@@ -21,11 +21,6 @@ let to_string v =
   Format.pp_print_flush f ();
   Buffer.contents b
 
-(* Ring buffer of the most recent events, for violation diagnostics; a
-   power of two so the slot is a mask.  Completed accesses, most of the
-   stream, are kept unboxed. *)
-let history_len = 16
-
 (* The dirty set and the race table are flat arrays indexed by block and
    word.  They grow by doubling as the machine allocates, so an event
    touches O(1) slots and allocates nothing. *)
@@ -33,7 +28,6 @@ type t = {
   machine : Machine.t;
   mode : mode;
   dir : Directory.t option;
-  check_races : bool;
   nodes : int;
   words_per_block : int;
   mutable dirty : int array;
@@ -43,45 +37,25 @@ type t = {
   mutable dirty_mark : Bytes.t;  (* per block: '\001' while it is in [dirty] *)
   recorded : (int * Machine.block, Nodeset.t) Hashtbl.t;
       (* (phase, block) -> consumers recorded in the communication schedule *)
-  mutable writers : int array;
-      (* per word: [epoch + node] for the node that wrote it in the current
-         barrier interval; any value below [epoch] is from an older one *)
-  mutable epoch : int;  (* a positive multiple of [nodes], bumped per barrier *)
+  audit : Machine.audit;
+      (* the race table ([epoch] a positive multiple of [nodes], bumped per
+         barrier), the ring and [pending] = [ndirty > 0], lent to the machine *)
   rw_holders : (Machine.block, Nodeset.t) Hashtbl.t;
       (* Commutative mode: ReadWrite holders per block, maintained
          incrementally from Tag_change events.  [dirty] cannot serve here —
          it is emptied at every stable point, while the multi-writer window
          of a commutative phase spans many of them. *)
-  history : Trace.event array;  (* per slot: a boxed event, unless [acc] holds an access *)
-  acc : int array;
-      (* per slot [i], an unboxed access: [acc.(2i)] is its node (-1 for a
-         boxed slot), [acc.(2i+1)] its [addr lsl 2 lor faulted lsl 1 lor write] *)
-  mutable hist_next : int;  (* events seen so far *)
+  history : Trace.event array;  (* per ring slot: the event of a claimed slot *)
 }
 
-let remember t ev =
-  let i = t.hist_next land (history_len - 1) in
-  Array.unsafe_set t.history i ev;
-  Array.unsafe_set t.acc (2 * i) (-1);
-  t.hist_next <- t.hist_next + 1
-
-(* Live accesses come from the machine: [node] and [addr] are in range. *)
-let remember_access t ~node ~addr ~write ~faulted =
-  let i = 2 * (t.hist_next land (history_len - 1)) in
-  Array.unsafe_set t.acc i node;
-  Array.unsafe_set t.acc (i + 1)
-    ((addr lsl 2) lor (Bool.to_int faulted lsl 1) lor Bool.to_int write);
-  t.hist_next <- t.hist_next + 1
+let remember t ev = Array.unsafe_set t.history (Machine.claim t.audit) ev
 
 let recent t =
-  let n = min t.hist_next history_len in
+  let au = t.audit in
+  let n = min au.seen Machine.history_len in
   List.init n (fun k ->
-      let i = (t.hist_next - n + k) land (history_len - 1) in
-      let node = t.acc.(2 * i) and bits = t.acc.((2 * i) + 1) in
-      if node < 0 then t.history.(i)
-      else
-        Trace.Access
-          { node; addr = bits lsr 2; write = bits land 1 = 1; faulted = bits land 2 = 2 })
+      let i = (au.seen - n + k) land (Machine.history_len - 1) in
+      Option.value (Machine.recorded au i) ~default:t.history.(i))
 
 let fail t ~check fmt =
   Format.kasprintf
@@ -155,7 +129,8 @@ let mark_dirty t b =
   if Bytes.unsafe_get t.dirty_mark b = '\000' then begin
     Bytes.unsafe_set t.dirty_mark b '\001';
     Array.unsafe_set t.dirty t.ndirty b;
-    t.ndirty <- t.ndirty + 1
+    t.ndirty <- t.ndirty + 1;
+    t.audit.pending <- true
   end
 
 (* A stable point: every block dirtied since the last one must show
@@ -173,38 +148,35 @@ let check_dir_agreement t =
         for i = 0 to t.ndirty - 1 do
           Bytes.unsafe_set t.dirty_mark t.dirty.(i) '\000'
         done;
-        t.ndirty <- 0
+        t.ndirty <- 0;
+        t.audit.pending <- false
 
 let word_limit t = Machine.num_blocks t.machine * t.words_per_block
 
 (* Per-phase write-ownership: two different nodes writing the same word
    between consecutive barriers is a race.  [addr] is range-checked. *)
 let note_write t ~node ~addr =
-  if addr >= Array.length t.writers then begin
-    let ws = Array.make (grown ~len:(Array.length t.writers) ~need:addr) 0 in
-    Array.blit t.writers 0 ws 0 (Array.length t.writers);
-    t.writers <- ws
+  let au = t.audit in
+  if addr >= Array.length au.stamps then begin
+    let ws = Array.make (grown ~len:(Array.length au.stamps) ~need:addr) 0 in
+    Array.blit au.stamps 0 ws 0 (Array.length au.stamps);
+    au.stamps <- ws
   end;
-  let w = Array.unsafe_get t.writers addr in
-  if w >= t.epoch && w <> t.epoch + node then
+  let w = Array.unsafe_get au.stamps addr in
+  if w >= au.epoch && w <> au.epoch + node then
     fail t ~check:"race"
       "write race on word %d: nodes %d and %d both wrote it with no intervening barrier" addr
-      (w - t.epoch) node
-  else Array.unsafe_set t.writers addr (t.epoch + node)
+      (w - au.epoch) node
+  else Array.unsafe_set au.stamps addr (au.epoch + node)
 
-(* A completed access is a stable point, and a write stamps the race table.
-   The node and word are range-checked: {!feed} takes untrusted replay
-   lines. *)
+(* A completed access is a stable point, and a write stamps the race table. *)
 let check_access t ~node ~addr ~write =
-  if node < 0 || node >= t.nodes then
-    fail t ~check:"access" "access by node %d out of range [0,%d)" node t.nodes;
-  if addr < 0 || addr >= word_limit t then
-    fail t ~check:"access" "access to word %d outside the %d allocated" addr (word_limit t);
-  if write && t.check_races then note_write t ~node ~addr;
+  if write && t.audit.races then note_write t ~node ~addr;
   check_dir_agreement t
 
+(* Live accesses come from the machine: [node] and [addr] are in range. *)
 let on_access t ~node ~addr ~write ~faulted =
-  remember_access t ~node ~addr ~write ~faulted;
+  Machine.record t.audit ~node ~addr ~write ~faulted;
   check_access t ~node ~addr ~write
 
 let on_event t ev =
@@ -223,7 +195,8 @@ let on_event t ev =
       let n = t.nodes in
       if src < 0 || src >= n then
         fail t ~check:"msg" "message source %d out of range [0,%d)" src n;
-      if dst >= n then fail t ~check:"msg" "message destination %d out of range [0,%d)" dst n;
+      if dst < -1 || dst >= n then
+        fail t ~check:"msg" "message destination %d out of range [-1,%d)" dst n;
       if bytes <= 0 then
         fail t ~check:"msg" "non-positive %s message size %d from node %d"
           (Trace.msg_kind_name kind) bytes src
@@ -251,9 +224,15 @@ let on_event t ev =
             "presend of block %d for phase %d, but the schedule holds no \
              record for that (phase, block) — stale after a flush?"
             block phase)
-  | Trace.Access { node; addr; write; faulted = _ } -> check_access t ~node ~addr ~write
+  | Trace.Access { node; addr; write; faulted = _ } ->
+      (* Replay lines are untrusted: range-check before any table access. *)
+      if node < 0 || node >= t.nodes then
+        fail t ~check:"access" "access by node %d out of range [0,%d)" node t.nodes;
+      if addr < 0 || addr >= word_limit t then
+        fail t ~check:"access" "access to word %d outside the %d allocated" addr (word_limit t);
+      check_access t ~node ~addr ~write
   | Trace.Barrier _ ->
-      t.epoch <- t.epoch + t.nodes;
+      t.audit.epoch <- t.audit.epoch + t.nodes;
       check_dir_agreement t
   | Trace.Phase_end { phase } ->
       if t.mode = Commutative then check_merged t ~phase;
@@ -262,7 +241,8 @@ let on_event t ev =
       (* A lost message must still have been a well-formed send. *)
       let n = t.nodes in
       if src < 0 || src >= n then fail t ~check:"drop" "dropped-message source %d out of range [0,%d)" src n;
-      if dst >= n then fail t ~check:"drop" "dropped-message destination %d out of range [0,%d)" dst n
+      if dst < -1 || dst >= n then
+        fail t ~check:"drop" "dropped-message destination %d out of range [-1,%d)" dst n
   | Trace.Sched_corrupt { phase; block; node } -> (
       (* Track the corruption so the presend-vs-schedule check tests the
          protocol against its own (corrupted) belief: a presend to the
@@ -283,27 +263,26 @@ let on_event t ev =
 (* [create] builds a detached sanitizer: the caller feeds it events
    explicitly (the trace-replay oracle drives one from a recorded JSONL
    stream against a mirror machine).  [attach] is the live form, one
-   observer of the machine taking events boxed and accesses typed.  The
-   block and word tables start empty and grow on first use. *)
+   observer of the machine taking events boxed and accesses typed, and
+   lending the machine its audit.  The block and word tables start empty
+   and grow on first use. *)
 let create ?(mode = Invalidate) ?dir ?(check_races = true) machine =
   let nodes = Machine.num_nodes machine in
   {
     machine;
     mode;
     dir;
-    check_races;
     nodes;
     words_per_block = Machine.words_per_block machine;
     dirty = [||];
     ndirty = 0;
     dirty_mark = Bytes.empty;
     recorded = Hashtbl.create 64;
-    writers = [||];
-    epoch = nodes;
+    audit =
+      { ring = Array.make (2 * Machine.history_len) (-1); seen = 0; stamps = [||]; epoch = nodes;
+        races = check_races; pending = false };
     rw_holders = Hashtbl.create 64;
-    history = Array.make history_len (Trace.Phase_begin { phase = 0 });
-    acc = Array.make (2 * history_len) (-1);
-    hist_next = 0;
+    history = Array.make Machine.history_len (Trace.Phase_begin { phase = 0 });
   }
 
 let feed t ev = on_event t ev
@@ -317,8 +296,9 @@ let attach ?mode ?dir ?check_races machine =
         on_event = Some (on_event t);
         on_access =
           Some (fun ~node ~addr ~write ~faulted -> on_access t ~node ~addr ~write ~faulted);
+        audit = Some t.audit;
       }
   in
   t
 
-let events_seen t = t.hist_next
+let events_seen t = t.audit.seen

@@ -14,7 +14,8 @@
       most one ReadWrite copy, and (in {!Invalidate} mode) never a
       ReadWrite and a ReadOnly copy simultaneously.  Checked on the raw
       transition, so even transient protocol states must stay safe.
-    - [Msg]: source/destination in range, positive size.
+    - [Msg] and [Msg_drop]: source in range, destination in range or -1
+      (a reduction message has no single destination), positive size.
     - [Access]/[Barrier]/[Phase_end]/[Sched_flush] (stable points):
       directory/tag agreement ({!Directory.check_invariant}) for every
       block whose tags changed since the last stable point.  Mid-transaction
@@ -32,7 +33,8 @@
       (disable with [~check_races:false] for raw protocol exploration that
       has no phase structure, e.g. the model checker's op sequences).
     - [Access] and [Tag_change]: the node, word and block must exist on the
-      machine — {!feed} takes untrusted replay lines.
+      machine — {!feed} takes untrusted replay lines (the machine has
+      range-checked a live access already).
 
     On violation the sanitizer raises {!Violation} with a structured
     {!violation} naming the failing invariant and carrying the most recent
@@ -41,15 +43,20 @@
     Cost: O(1) amortized per event, apart from the per-block checks
     themselves (an O(nodes) tag scan per [Tag_change], and one
     {!Directory.check_invariant} per block dirtied since the last stable
-    point).  Nothing is allocated per access, end to end: the machine hands
-    each completed access to the sanitizer's typed [on_access] hook, with
-    no {!Ccdsm_tempest.Trace.Access} built; the dirty set is a block stack
-    with a per-block mark, so a stable point with nothing dirty costs one
-    compare; the race table is a per-word array stamped with the barrier
-    interval and the writer, so a [Barrier] bumps a counter; the history is
-    a fixed ring that keeps accesses unboxed.  The block and word tables
-    grow by doubling to cover what the machine has allocated, never past
-    twice that. *)
+    point).  The race table, the history ring and the pending stable point
+    are the machine's {!Ccdsm_tempest.Machine.audit}: while the attached
+    sanitizer is the machine's only touch or access observer, an access no
+    check can fail (tag permitted, nothing dirty, a write's word unstamped
+    in this barrier interval or the writer's own) is counted, recorded and
+    stamped by the machine with no hook called.  Every other access reaches
+    the typed [on_access] hook, with no {!Ccdsm_tempest.Trace.Access}
+    built.  Nothing is allocated per access, end to end: the dirty set is a
+    block stack with a per-block mark, so a stable point with nothing dirty
+    costs one compare; the race table is a per-word array stamped with the
+    barrier interval and the writer, so a [Barrier] bumps a counter; the
+    history is a fixed ring that keeps accesses unboxed.  The block and
+    word tables grow by doubling to cover what the machine has allocated,
+    never past twice that. *)
 
 module Machine = Ccdsm_tempest.Machine
 module Trace = Ccdsm_tempest.Trace

@@ -53,6 +53,35 @@ type handlers = {
   on_write_fault : node:int -> block -> unit;
 }
 
+(* The sanitizer's per-access state (see the interface). *)
+let history_len = 16
+
+type audit = {
+  ring : int array;
+  mutable seen : int;
+  mutable stamps : int array;
+  mutable epoch : int;
+  races : bool;
+  mutable pending : bool;
+}
+
+let[@inline] record au ~node ~addr ~write ~faulted =
+  let i = 2 * (au.seen land (history_len - 1)) in
+  Array.unsafe_set au.ring i node;
+  Array.unsafe_set au.ring (i + 1) ((addr lsl 2) lor (Bool.to_int faulted lsl 1) lor Bool.to_int write);
+  au.seen <- au.seen + 1
+
+let claim au =
+  let i = au.seen land (history_len - 1) in
+  Array.unsafe_set au.ring (2 * i) (-1);
+  au.seen <- au.seen + 1;
+  i
+
+let recorded au i =
+  let node = au.ring.(2 * i) and bits = au.ring.((2 * i) + 1) in
+  if node < 0 then None
+  else Some (Trace.Access { node; addr = bits lsr 2; write = bits land 1 = 1; faulted = bits land 2 = 2 })
+
 (* Observers (see the interface).  [observe] files each hook an observer
    implements into that hook's dispatch array in [t], so a hook calls only
    the observers that implement it; one [observed] flag guards every hook
@@ -66,6 +95,7 @@ type observer = {
   on_heap_alloc : (node:int -> words:int -> spilled:bool -> unit) option;
   on_phase : (enter:bool -> id:int -> name:string -> scheduled:bool -> unit) option;
   on_reset : (unit -> unit) option;
+  audit : audit option;
 }
 
 let no_observer =
@@ -78,6 +108,7 @@ let no_observer =
     on_heap_alloc = None;
     on_phase = None;
     on_reset = None;
+    audit = None;
   }
 
 module Obs = Ccdsm_obs.Obs
@@ -153,6 +184,7 @@ type t = {
   mutable heap_allocs : (node:int -> words:int -> spilled:bool -> unit) array;
   mutable phases : (enter:bool -> id:int -> name:string -> scheduled:bool -> unit) array;
   mutable resets : (unit -> unit) array;
+  mutable audit : audit option;  (* that of the only touch or access observer *)
 }
 
 (* Tag bytes as stored in the flat tag table.  Literal so the per-access tag
@@ -185,6 +217,11 @@ let rebuild t =
   t.heap_allocs <- pick (fun o -> o.on_heap_alloc);
   t.phases <- pick (fun o -> o.on_phase);
   t.resets <- pick (fun o -> o.on_reset);
+  let watches (_, o) = Option.is_some o.on_touch || Option.is_some o.on_access in
+  t.audit <-
+    (match List.filter watches t.observers with
+    | [ (_, { on_touch = None; audit; _ }) ] -> audit
+    | _ -> None);
   t.observed <- not (List.is_empty t.observers)
 
 let observe t o =
@@ -305,6 +342,7 @@ let create cfg =
       heap_allocs = [||];
       phases = [||];
       resets = [||];
+      audit = None;
     }
   in
   (match Trace.global () with
@@ -600,13 +638,23 @@ let[@inline] count_access t ~node field =
   let i = node lsl stat_shift in
   A1.unsafe_set t.stats i (A1.unsafe_get t.stats i +. local_access_us)
 
-(* Every access but an unobserved hit, out of line: a bad node or address
-   (raises), an observed access, or one whose tag faults.  The touch hooks
-   run before the fault so a collector that snapshots counters when an
-   access opens a profile segment attributes the triggering fault to that
-   segment, not the gap before it.  A hook that no observer implements
-   costs a length test. *)
-let[@inline never] access_cold t ~node a ~write =
+(* An in-range, tag-permitted access that no check of the audit can fail
+   (a word past the stamp table takes the observed path, which grows it). *)
+let[@inline] audited t au ~node a ~write =
+  (node lor a) >= 0
+  && node < t.nnodes && a < t.word_limit && (not au.pending)
+  && (let tg = A1.unsafe_get t.tags ((node lsl t.cap_shift) lor (a lsr t.block_shift)) in
+      if write then tg = tag_read_write_char else tg <> tag_invalid_char)
+  && ((not (write && au.races))
+     || (a < Array.length au.stamps
+        && let w = Array.unsafe_get au.stamps a in w < au.epoch || w = au.epoch + node))
+
+(* The observed path: a bad node or address (raises), an observed access,
+   or one whose tag faults.  The touch hooks run before the fault so a
+   collector that snapshots counters when an access opens a profile
+   segment attributes the triggering fault to that segment, not the gap
+   before it.  A hook that no observer implements costs a length test. *)
+let access_observed t ~node a ~write =
   if (node lor a) < 0 || node >= t.nnodes || a >= t.word_limit then bad_access t ~node a;
   if t.observed then begin
     let hs = t.touches in
@@ -625,6 +673,16 @@ let[@inline never] access_cold t ~node a ~write =
       (Array.unsafe_get hs i) ~node ~addr:a ~write ~faulted
     done
   end
+
+(* Every access but an unobserved hit, out of line.  An audited hit does
+   what its observer's [on_access] would, without the call. *)
+let[@inline never] access_cold t ~node a ~write =
+  match t.audit with
+  | Some au when audited t au ~node a ~write ->
+      count_access t ~node (if write then f_local_writes else f_local_reads);
+      record au ~node ~addr:a ~write ~faulted:false;
+      if write && au.races then Array.unsafe_set au.stamps a (au.epoch + node)
+  | _ -> access_observed t ~node a ~write
 
 (* An in-range, unobserved access whose tag permits it. *)
 let[@inline] hit t ~node a ~write =

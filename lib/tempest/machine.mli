@@ -98,6 +98,31 @@ val install : t -> handlers -> unit
     while {!Trace.set_global} holds a sink starts with that sink subscribed
     and announces itself to it with an [Init] event. *)
 
+val history_len : int
+(** Slots in an audit's history ring: 16, a power of two. *)
+
+type audit = {
+  ring : int array;  (** two per slot; see {!record} and {!claim} *)
+  mutable seen : int;  (** events recorded; the next slot is [seen land (history_len - 1)] *)
+  mutable stamps : int array;  (** per word: [epoch + node] of its last writer *)
+  mutable epoch : int;  (** a stamp below it is from an earlier barrier interval *)
+  races : bool;  (** writes are race-checked *)
+  mutable pending : bool;  (** a stable-point check is due *)
+}
+(** The sanitizer's per-access state, where {!read} and {!write} can reach
+    it; the sanitizer decides what the fields mean and keeps them. *)
+
+val record : audit -> node:int -> addr:addr -> write:bool -> faulted:bool -> unit
+(** Put an access in the next ring slot, unboxed: its node, then [addr lsl
+    2 lor faulted lsl 1 lor write]. *)
+
+val claim : audit -> int
+(** Take the next ring slot for some other event, which the audit's owner
+    keeps at the returned slot index. *)
+
+val recorded : audit -> int -> Trace.event option
+(** The access in ring slot [i], or [None] for a {!claim}ed slot. *)
+
 type observer = {
   on_event : (Trace.event -> unit) option;
       (** Every published event except completed accesses, which arrive
@@ -106,8 +131,9 @@ type observer = {
       (** Every data access ({!read} or {!write}), before its fault, if
           any, is serviced. *)
   on_access : (node:int -> addr:addr -> write:bool -> faulted:bool -> unit) option;
-      (** Every completed data access, after its fault and its Compute
-          charge; [faulted] marks an access that tripped a fault. *)
+      (** Every completed data access but this observer's audited hits,
+          after its fault and its Compute charge; [faulted] marks an
+          access that tripped a fault. *)
   on_charge : (node:int -> bucket -> us:float -> unit) option;
       (** Every {!charge}, before the stats-table add.  Replaying these
           additions and each access's {!local_access_us} in arrival order
@@ -119,6 +145,10 @@ type observer = {
   on_phase : (enter:bool -> id:int -> name:string -> scheduled:bool -> unit) option;
       (** At runtime phase boundaries ([id] = -1: unscheduled). *)
   on_reset : (unit -> unit) option;  (** After {!reset_stats}. *)
+  audit : audit option;
+      (** While this is the only observer with [on_touch] or [on_access],
+          and has no [on_touch], an audited hit (see {!read}) skips its
+          [on_access]: the machine does what that hook would. *)
 }
 
 val no_observer : observer
@@ -181,11 +211,15 @@ val read : t -> node:int -> addr -> float
     hit inlines at its call site (the release profile lets the inlining
     cross modules): the fused bounds check, the {!observed} test and the
     tag test, then the count, the Compute charge and the load.  Anything
-    else, a bad node or address, an attached observer or a tag that
-    faults, takes one out-of-line call that runs the whole access: bounds
-    checks, hooks, the protocol's fault handler, count and charge.  So the
-    float reaches the caller's arithmetic unboxed, and a hit allocates
-    nothing.
+    else takes one out-of-line call.  It first tries the audited hit: an
+    in-range, tag-permitted access whose one touch or access observer
+    carries an {!audit} with no stable point [pending] and, for a write
+    with [races] on, the word's stamp inside [stamps] and below [epoch] or
+    the writer's own.  That access is counted, charged, {!record}ed and a
+    write stamped, with no hook called.  A bad node or address, any other
+    observer or a tag that faults runs the whole access: bounds checks,
+    hooks, the protocol's fault handler, count and charge.  So the float
+    reaches the caller's arithmetic unboxed, and a hit allocates nothing.
     @raise Invalid_argument on a bad node or address. *)
 
 val write : t -> node:int -> addr -> float -> unit

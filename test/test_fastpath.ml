@@ -11,6 +11,7 @@ module Machine = Ccdsm_tempest.Machine
 module Tag = Ccdsm_tempest.Tag
 module Engine = Ccdsm_proto.Engine
 module Sanitizer = Ccdsm_proto.Sanitizer
+module Trace = Ccdsm_tempest.Trace
 module Timecap = Ccdsm_tempest.Timecap
 module Profile = Ccdsm_rdist.Profile
 module Aggregate = Ccdsm_runtime.Aggregate
@@ -74,17 +75,23 @@ let machines_equal ~nodes ~words ~a1 ~a2 m1 m2 =
 
 (* [read]/[write] inline only the unobserved hit; an attached observer, even
    one that implements no hook, sends every access through the out-of-line
-   path.  The same random word accesses from random nodes on an unobserved
-   machine and on such an observed one must return the same values and
-   leave the same counters, bucket times, tags and memory. *)
+   path.  The same random word accesses from random nodes (and barriers) on
+   an unobserved machine and on such an observed one must return the same
+   values and leave the same counters, bucket times, tags and memory.  So
+   must a sanitizer-only machine, whose hits are audited in line, and a
+   sanitized one that a no-op subscriber keeps on the observed path: the
+   two raise the same violations (writes from two nodes race), with the
+   same history, and see the same number of events.  A violating write
+   stores nothing, so the sanitized pair is held to the unsanitized pair
+   only while no violation has occurred. *)
 let test_inlined_equals_observed =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~name:"inlined read/write = observed path"
-       QCheck2.Gen.(list_size (0 -- 60) (quad (0 -- 3) (0 -- 63) bool (0 -- 1000)))
+       QCheck2.Gen.(list_size (0 -- 60) (quad (0 -- 3) (0 -- 64) bool (0 -- 1000)))
        (fun ops ->
-         let mk () =
+         let mk watch =
            let m = Machine.create (Machine.default_config ~num_nodes:4 ~block_bytes:32 ()) in
-           ignore (Engine.stache m);
+           let eng, _ = Engine.stache m in
            let a0 = Machine.alloc m ~words:16 ~home:0 in
            for h = 1 to 3 do
              ignore (Machine.alloc m ~words:16 ~home:h)
@@ -92,21 +99,51 @@ let test_inlined_equals_observed =
            for i = 0 to 63 do
              Machine.poke m (a0 + i) (float_of_int i)
            done;
-           (m, a0)
+           (m, a0, watch m eng)
          in
-         let m1, a1 = mk () and m2, a2 = mk () in
-         ignore (Machine.observe m2 Machine.no_observer : unit -> unit);
+         let sanitize m eng = Some (Sanitizer.attach ~dir:eng.Engine.dir m) in
+         let m1, a1, _ = mk (fun _ _ -> None)
+         and m2, a2, _ =
+           mk (fun m _ ->
+               ignore (Machine.observe m Machine.no_observer : unit -> unit);
+               None)
+         and m3, a3, s3 = mk sanitize
+         and m4, a4, s4 =
+           mk (fun m eng ->
+               Machine.subscribe m ignore;
+               sanitize m eng)
+         in
+         (* Word 64 is a barrier. *)
+         let step m a (node, i, write, v) =
+           if i = 64 then (Machine.barrier m ~bucket:Machine.Synch; 0.0)
+           else if write then (Machine.write m ~node (a + i) (float_of_int v); 0.0)
+           else Machine.read m ~node (a + i)
+         in
+         let sanitized m a op =
+           match step m a op with
+           | v -> Ok v
+           | exception Sanitizer.Violation v ->
+               Error (v.Sanitizer.check, v.Sanitizer.message, List.map Trace.to_json v.Sanitizer.history)
+         in
+         let clean = ref true in
          List.iter
-           (fun (node, i, write, v) ->
-             if write then begin
-               Machine.write m1 ~node (a1 + i) (float_of_int v);
-               Machine.write m2 ~node (a2 + i) (float_of_int v)
-             end
-             else if Machine.read m1 ~node (a1 + i) <> Machine.read m2 ~node (a2 + i) then
-               QCheck2.Test.fail_report "returned values differ")
+           (fun op ->
+             let v1 = step m1 a1 op and v2 = step m2 a2 op in
+             let r3 = sanitized m3 a3 op and r4 = sanitized m4 a4 op in
+             if v1 <> v2 then QCheck2.Test.fail_report "returned values differ";
+             if r3 <> r4 then QCheck2.Test.fail_report "sanitized values or violations differ";
+             match r3 with
+             | Error _ -> clean := false
+             | Ok v3 -> if !clean && v3 <> v1 then QCheck2.Test.fail_report "sanitized value differs")
            ops;
+         let seen s = Sanitizer.events_seen (Option.get s) in
+         if seen s3 <> seen s4 then QCheck2.Test.fail_report "sanitizers saw different event counts";
          if not (machines_equal ~nodes:4 ~words:64 ~a1 ~a2 m1 m2) then
            QCheck2.Test.fail_report "counters/bucket times/tags/memory differ";
+         if not (machines_equal ~nodes:4 ~words:64 ~a1:a3 ~a2:a4 m3 m4) then
+           QCheck2.Test.fail_report "sanitized counters/bucket times/tags/memory differ";
+         if !clean && not (machines_equal ~nodes:4 ~words:64 ~a1 ~a2:a3 m1 m3) then
+           QCheck2.Test.fail_report "a clean sanitized run differs from the unsanitized one";
          true))
 
 (* -- aggregate address tables ------------------------------------------------ *)

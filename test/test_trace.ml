@@ -314,6 +314,19 @@ let test_sanitizer_race_across_epochs () =
   Machine.write m ~node:1 a 2.0;
   expect_check "race in the second interval" "race" (fun () -> Machine.write m ~node:0 a 3.0)
 
+let test_sanitizer_race_on_permitted_write () =
+  (* Commutative mode lets two nodes hold ReadWrite copies of a block, so
+     node 1's write is a tag hit: only the race stamp can catch it.  Node
+     0's write to [a + 1] grows the race table, so its write to [a] is an
+     audited hit, which must stamp the word. *)
+  let m = mk () in
+  ignore (Sanitizer.attach ~mode:Sanitizer.Commutative m);
+  let a = Machine.alloc m ~words:4 ~home:0 in
+  Machine.set_tag m ~node:1 (Machine.block_of m a) Tag.Read_write;
+  Machine.write m ~node:0 (a + 1) 1.0;
+  Machine.write m ~node:0 a 1.0;
+  expect_check "second writer" "race" (fun () -> Machine.write m ~node:1 a 2.0)
+
 let test_sanitizer_dir_each_stable_point () =
   (* Every stable-point kind checks the dirty set, not only the Barrier
      that [test_sanitizer_dir_disagreement] uses. *)
@@ -384,14 +397,39 @@ let test_sanitizer_history_window () =
     Machine.write m ~node:0 (a + i) 1.0;
     ignore (Machine.read m ~node:(1 + (i land 1)) (a + i))
   done;
-  match Machine.emit m stale with
+  (match Machine.emit m stale with
   | () -> Alcotest.fail "expected a presend violation from the attached sanitizer"
   | exception Sanitizer.Violation v ->
       check
         Alcotest.(list string)
         "the last 16 events, accesses included"
         (List.rev (List.filteri (fun i _ -> i < 16) !seen))
-        (List.map Trace.to_json v.Sanitizer.history)
+        (List.map Trace.to_json v.Sanitizer.history));
+  (* Attached alone, the sanitizer lets the machine record its hits in the
+     ring (audited hits); the ring must hold what a subscriber sees of the
+     same run. *)
+  let run ~subscribed =
+    let m = mk () in
+    let seen = ref [] in
+    if subscribed then Machine.subscribe m (fun ev -> seen := Trace.to_json ev :: !seen);
+    let eng, _ = Engine.stache m in
+    ignore (Sanitizer.attach ~dir:eng.Engine.dir m);
+    let a = Machine.alloc m ~words:8 ~home:0 in
+    for i = 0 to 7 do
+      Machine.write m ~node:0 (a + i) 1.0;
+      ignore (Machine.read m ~node:0 (a + i))
+    done;
+    ignore (Machine.read m ~node:1 a);
+    match Machine.emit m stale with
+    | () -> Alcotest.fail "expected a presend violation from the lone sanitizer"
+    | exception Sanitizer.Violation v ->
+        (List.rev (List.filteri (fun i _ -> i < 16) !seen), List.map Trace.to_json v.Sanitizer.history)
+  in
+  check
+    Alcotest.(list string)
+    "the last 16 events, audited hits included"
+    (fst (run ~subscribed:true))
+    (snd (run ~subscribed:false))
 
 let test_sanitizer_rejects_bad_ranges () =
   (* [feed] takes untrusted events: an index outside the machine is a
@@ -413,7 +451,13 @@ let test_sanitizer_rejects_bad_ranges () =
         Trace.Tag_change { node = 0; block = 1; before = Tag.Invalid; after = Tag.Read_only } );
       ( "tag at node 2", "tag",
         Trace.Tag_change { node = 2; block = 0; before = Tag.Invalid; after = Tag.Read_only } );
-    ]
+      ("message to node -7", "msg", Trace.Msg { src = 0; dst = -7; bytes = 8; kind = Trace.Data });
+      ("dropped message to node -9", "drop", Trace.Msg_drop { src = 1; dst = -9; kind = Trace.Data });
+    ];
+  (* A reduction message has no single destination: -1 stays legal. *)
+  let s = Sanitizer.create m in
+  Sanitizer.feed s (Trace.Msg { src = 0; dst = -1; bytes = 8; kind = Trace.Data });
+  Sanitizer.feed s (Trace.Msg_drop { src = 1; dst = -1; kind = Trace.Data })
 
 (* -- trace-replay oracle on the goldens ------------------------------------ *)
 
@@ -550,6 +594,8 @@ let suite =
         Alcotest.test_case "violation diagnostics" `Quick test_sanitizer_diagnostics;
         Alcotest.test_case "race across barrier epochs" `Quick
           test_sanitizer_race_across_epochs;
+        Alcotest.test_case "race on a permitted write" `Quick
+          test_sanitizer_race_on_permitted_write;
         Alcotest.test_case "directory checked at every stable point" `Quick
           test_sanitizer_dir_each_stable_point;
         Alcotest.test_case "re-dirtied block checked again" `Quick
